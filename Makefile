@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race audit trace serve-smoke obs-smoke chaos crash-smoke fuzz-smoke dst dst-long cover bench bench-json bench-serve clean
+.PHONY: ci vet build test race audit trace serve-smoke obs-smoke chaos crash-smoke fuzz-smoke dst dst-long cover bench bench-json perfbench clean
 
 ci: vet build test race audit trace serve-smoke obs-smoke chaos crash-smoke fuzz-smoke dst cover
 
@@ -37,7 +37,9 @@ trace:
 	$(GO) test ./internal/obs -run 'TestTrace|TestTracer|TestPerfetto' -count=1
 
 # Serving-mode smoke test: boot tracond on a random port, drive it with a
-# traconload burst, assert non-zero completions and a clean SIGTERM drain.
+# traconload burst, assert non-zero completions and a clean SIGTERM drain;
+# then five boots that take a SIGTERM the moment the portfile appears must
+# each drain cleanly too.
 serve-smoke:
 	bash scripts/serve_smoke.sh
 
@@ -72,7 +74,7 @@ fuzz-smoke:
 	$(GO) test ./internal/durable -fuzz=FuzzWALReader -fuzztime=10s -run '^$$'
 
 # Deterministic simulation gate: 50 seeded scenarios drive the whole
-# daemon (placer, coalescer, admission, swaps, journal, simulated crashes)
+# daemon (placer, admission, swaps, journal, simulated crashes)
 # on a virtual clock and an in-memory disk, with the full property suite
 # checked after every op; plus the byte-identical-trail contract, the
 # sim-engine equivalence oracle, and the injected-violation meta-test
@@ -103,14 +105,18 @@ bench-json:
 	$(GO) test -json -run '^$$' -bench 'BenchmarkNewEnv|BenchmarkFig9$$|BenchmarkSchedulerOverhead' \
 		-benchmem -benchtime 1x -count=1 . > BENCH_pr3.json
 
-# Serving-path benchmark snapshot: prediction-cache hit vs uncached
-# scoring, fixed-seed singleton and batched traconload runs, and the WAL
-# fsync-policy sweep (always/interval/never) against a journaling daemon;
-# BENCH_pr9.json is this target's output at the PR-9 baseline
-# (BENCH_pr7.json is the pre-durability snapshot, BENCH_pr4.json the
-# pre-batching singleton one).
-bench-serve:
-	bash scripts/bench_serve.sh BENCH_pr9.json
+# The repository benchmark (BENCHMARK.json): the three workloads, one
+# after the other, through perfbench/run.sh, end-to-end metrics only.
+# SEED picks the workload seed, SECONDS the timed phase of each serve
+# workload; add TRACE=1 for the per-layer run. The checked-in
+# BENCH_pr*.json files are snapshots of the serving harness this replaced.
+SEED ?= 1
+SECONDS ?= 15
+TRACE ?= 0
+perfbench:
+	for w in online-small batch-large-durable sim-fig9; do \
+		bash perfbench/run.sh --workload $$w --seed $(SEED) --seconds $(SECONDS) --trace $(TRACE) || exit 1; \
+	done
 
 clean:
 	$(GO) clean ./...

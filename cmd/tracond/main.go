@@ -44,8 +44,7 @@ func main() {
 		modelsOut   = flag.String("save-models", "", "save the trained library to this JSON file (LM/NLM families)")
 		maxInflight = flag.Int("max-inflight", 0, "max concurrent submissions (0 = default)")
 		maxQueue    = flag.Int("max-queue", 0, "max queued tasks before 429 (0 = default, negative = unbounded)")
-		batchWindow = flag.Duration("batch-window", 0, "coalesce singleton submissions for up to this long into one scheduling pass (0 = off)")
-		batchMax    = flag.Int("batch-max", 0, "max tasks per scheduling pass and per /v1/tasks:batch request (0 = default)")
+		batchMax    = flag.Int("batch-max", 0, "max tasks per /v1/tasks:batch request; request bodies are bounded to match (0 = default)")
 		syncRetrain = flag.Bool("sync-retrain", false, "run drift-triggered retrains on the request path (deterministic)")
 		cpuProf     = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf     = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -74,7 +73,7 @@ func main() {
 		kindName: *kindName, policy: *policy, queueLen: *queueLen,
 		objName: *objName, seed: *seed, modelsIn: *modelsIn,
 		modelsOut: *modelsOut, maxInflight: *maxInflight, maxQueue: *maxQueue,
-		batchWindow: *batchWindow, batchMax: *batchMax,
+		batchMax:    *batchMax,
 		syncRetrain: *syncRetrain, cpuProf: *cpuProf, memProf: *memProf,
 		logger: logger, traceCap: *traceCap, sloWindow: *sloWindow,
 		sloP99: *sloP99, sloErrRate: *sloErrRate, statsEvery: *statsEvery,
@@ -113,7 +112,6 @@ type daemonConfig struct {
 	seed                  int64
 	modelsIn, modelsOut   string
 	maxInflight, maxQueue int
-	batchWindow           time.Duration
 	batchMax              int
 	syncRetrain           bool
 	cpuProf, memProf      string
@@ -228,23 +226,22 @@ func run(cfg daemonConfig) error {
 	}
 
 	srv, err := serve.New(lib, serve.Config{
-		Machines:       cfg.machines,
-		Policy:         cfg.policy,
-		QueueLen:       cfg.queueLen,
-		Objective:      obj,
-		MaxInflight:    cfg.maxInflight,
-		MaxQueue:       cfg.maxQueue,
-		CoalesceWindow: cfg.batchWindow,
-		BatchMax:       cfg.batchMax,
-		Retrain:        brain.retrain,
-		SyncRetrain:    cfg.syncRetrain,
-		Logger:         cfg.logger,
-		TraceCap:       cfg.traceCap,
-		SLOWindow:      cfg.sloWindow,
-		SLOLatencyP99:  cfg.sloP99,
-		SLOErrorRate:   cfg.sloErrRate,
-		Journal:        mgr,
-		Clock:          obs.Wall,
+		Machines:      cfg.machines,
+		Policy:        cfg.policy,
+		QueueLen:      cfg.queueLen,
+		Objective:     obj,
+		MaxInflight:   cfg.maxInflight,
+		MaxQueue:      cfg.maxQueue,
+		BatchMax:      cfg.batchMax,
+		Retrain:       brain.retrain,
+		SyncRetrain:   cfg.syncRetrain,
+		Logger:        cfg.logger,
+		TraceCap:      cfg.traceCap,
+		SLOWindow:     cfg.sloWindow,
+		SLOLatencyP99: cfg.sloP99,
+		SLOErrorRate:  cfg.sloErrRate,
+		Journal:       mgr,
+		Clock:         obs.Wall,
 	})
 	if err != nil {
 		return err
@@ -280,6 +277,11 @@ func run(cfg daemonConfig) error {
 		defer sampler.Stop()
 	}
 
+	// Install the signal handler before the listener opens and the portfile
+	// appears: a SIGTERM sent the moment the address is published must
+	// drain, not kill the process.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		return err
@@ -289,15 +291,10 @@ func run(cfg daemonConfig) error {
 			return err
 		}
 	}
-	if cfg.batchWindow > 0 {
-		cfg.logger.Info("coalescing enabled", "window", cfg.batchWindow.String())
-	}
 	cfg.logger.Info("serving",
 		"machines", cfg.machines, "policy", cfg.policy, "addr", ln.Addr().String())
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	httpSrv := newHTTPServer(srv.Handler())
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 
@@ -337,6 +334,16 @@ func run(cfg daemonConfig) error {
 		}
 	}
 	return nil
+}
+
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers; a connection that never finishes them is closed instead of
+// being held open forever. Bodies are bounded by size in the handlers.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer wraps the daemon's handler in the listener-facing server.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
 }
 
 // trainer holds what a retrain needs: the served library plus, when the

@@ -1,6 +1,6 @@
 // Package dst is a deterministic simulation harness for the serving
 // daemon, in the FoundationDB style: the full serve stack — Placer,
-// coalescer, admission, swap manager, journal and crash recovery — runs
+// admission, swap manager, journal and crash recovery — runs
 // on an injected obs.VirtualClock and an in-memory crash-simulating
 // filesystem (durable.MemFS), driven by a seeded op-stream interpreter.
 // Nothing in the stack reads the wall clock or the OS filesystem, so a
@@ -32,16 +32,15 @@ import (
 )
 
 // Scenario is one seeded DST run's shape. Everything — the cluster size,
-// the policy, the coalescer, the fsync contract, and the op stream — is
-// derived from Seed, so Seed alone reproduces the run.
+// the policy, the fsync contract, and the op stream — is derived from
+// Seed, so Seed alone reproduces the run.
 type Scenario struct {
 	Seed int64
 	Ops  int
 
-	Machines       int
-	Policy         string
-	CoalesceWindow time.Duration // 0 disables the coalescer
-	Fsync          durable.FsyncPolicy
+	Machines int
+	Policy   string
+	Fsync    durable.FsyncPolicy
 
 	// InjectRequeueBug deliberately inverts the harness's FIFO-requeue
 	// expectation (kill victims expected at the BACK of the queue instead
@@ -61,9 +60,6 @@ func NewScenario(seed int64, nops int) (Scenario, []Op) {
 		sc.Policy = "fifo"
 	} else {
 		sc.Policy = "mios"
-	}
-	if rng.Intn(2) == 0 {
-		sc.CoalesceWindow = 10 * time.Millisecond
 	}
 	if rng.Intn(4) == 0 {
 		sc.Fsync = durable.FsyncNever
@@ -94,8 +90,8 @@ func (sc Scenario) Execute(lib *model.Library, ops []Op) ([]byte, error) {
 		mem:   durable.NewMemFS(),
 		keys:  map[string]string{},
 	}
-	fmt.Fprintf(&h.trail, "scenario seed=%d ops=%d machines=%d policy=%s coalesce=%s fsync=%s\n",
-		sc.Seed, len(ops), sc.Machines, sc.Policy, sc.CoalesceWindow, sc.Fsync)
+	fmt.Fprintf(&h.trail, "scenario seed=%d ops=%d machines=%d policy=%s fsync=%s\n",
+		sc.Seed, len(ops), sc.Machines, sc.Policy, sc.Fsync)
 	if err := h.boot(); err != nil {
 		return h.trail.Bytes(), fmt.Errorf("boot: %w", err)
 	}
@@ -144,10 +140,9 @@ func (h *harness) boot() error {
 		return err
 	}
 	srv, err := serve.New(h.lib, serve.Config{
-		Machines:       h.sc.Machines,
-		Policy:         h.sc.Policy,
-		CoalesceWindow: h.sc.CoalesceWindow,
-		BatchMax:       64,
+		Machines: h.sc.Machines,
+		Policy:   h.sc.Policy,
+		BatchMax: 64,
 		Retrain: func(map[string][]model.Sample) (*model.Library, error) {
 			return h.lib, nil
 		},
@@ -173,8 +168,6 @@ func (h *harness) step(op Op) error {
 		submitted, err = true, h.opSubmit(op.Arg)
 	case OpBatch:
 		submitted, err = true, h.opBatch(op.Arg)
-	case OpCoalesce:
-		submitted, err = true, h.opCoalesce(op.Arg)
 	case OpComplete:
 		err = h.opComplete()
 	case OpKill:
@@ -249,52 +242,6 @@ func (h *harness) opBatch(arg int) error {
 	return nil
 }
 
-// opCoalesce parks 1-3 submissions in the micro-batcher one at a time
-// (sequenced on Coalescer.Waiting, so the batch order — and therefore the
-// minted IDs — is deterministic), then advances the virtual clock past
-// the window so the group flushes through one scheduling pass.
-func (h *harness) opCoalesce(arg int) error {
-	c := h.srv.Coalescer()
-	if c == nil {
-		return h.opSubmit(arg)
-	}
-	k := 1 + arg%3
-	type result struct {
-		rec *serve.Placement
-		err error
-	}
-	chans := make([]chan result, k)
-	for j := 0; j < k; j++ {
-		chans[j] = make(chan result, 1)
-		app := h.apps[(arg+j)%len(h.apps)]
-		want := c.Waiting() + 1
-		ch := chans[j]
-		go func() {
-			rec, err := c.Submit(app)
-			ch <- result{rec, err}
-		}()
-		if err := waitFor(func() bool { return c.Waiting() == want }); err != nil {
-			return fmt.Errorf("waiter %d never parked: %w", j, err)
-		}
-	}
-	h.clock.Advance(h.sc.CoalesceWindow)
-	for j := 0; j < k; j++ {
-		res := <-chans[j]
-		switch {
-		case errors.Is(res.err, serve.ErrQueueFull):
-			h.rejected++
-		case res.err != nil:
-			return fmt.Errorf("coalesced submit %d: %w", j, res.err)
-		default:
-			h.ids = append(h.ids, res.rec.ID)
-		}
-	}
-	if got := c.Waiting(); got != 0 {
-		return fmt.Errorf("%d submissions still parked after the window flush", got)
-	}
-	return nil
-}
-
 // opComplete finishes the oldest placed task (admission order).
 func (h *harness) opComplete() error {
 	p := h.srv.Placer()
@@ -347,7 +294,13 @@ func (h *harness) opKill(machine int) error {
 // interleaving of kills, drains, swaps and crashes.
 func (h *harness) opDedup(arg int) error {
 	key := fmt.Sprintf("k%d", arg%4)
-	rec, err := h.srv.Placer().SubmitKeyed(h.apps[arg%len(h.apps)], "", key)
+	out, err := h.srv.Placer().SubmitRequests([]serve.SubmitRequest{
+		{App: h.apps[arg%len(h.apps)], Key: key},
+	})
+	if err == nil {
+		err = out[0].Err
+	}
+	rec := out[0].Placement
 	switch {
 	case errors.Is(err, serve.ErrQueueFull):
 		h.rejected++
@@ -469,18 +422,4 @@ func (h *harness) digest() string {
 		snap.QueueDepth, snap.FreeSlots, snap.Available, snap.Total,
 		queued, placed, done, h.rejected, h.srv.ModelSet().Generation(),
 		h.mgr.LastSeq(), h.crashes)
-}
-
-// waitFor spins on a wall-clock deadline until cond holds. This is
-// goroutine coordination (waiting for a submission to park), not virtual
-// timing: the virtual clock never advances here.
-func waitFor(cond func() bool) error {
-	deadline := time.Now().Add(10 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("dst: timed out")
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
-	return nil
 }

@@ -8,7 +8,7 @@ import (
 
 // OpKind enumerates the scenario interpreter's verbs. The stream mixes
 // the serving daemon's whole external surface: submissions (singleton,
-// batch, coalesced, keyed), completions, the machine lifecycle, model
+// batch, keyed), completions, the machine lifecycle, model
 // hot-swaps, virtual-clock jumps, snapshot compaction and full simulated
 // crashes.
 type OpKind int
@@ -16,7 +16,6 @@ type OpKind int
 const (
 	OpSubmit OpKind = iota
 	OpBatch
-	OpCoalesce
 	OpComplete
 	OpKill
 	OpRevive
@@ -31,7 +30,7 @@ const (
 )
 
 var opNames = [numOpKinds]string{
-	"submit", "batch", "coalesce", "complete", "kill", "revive",
+	"submit", "batch", "complete", "kill", "revive",
 	"drain", "undrain", "dedup", "advance", "swap", "snapshot", "crash",
 }
 
@@ -75,10 +74,8 @@ func drawKind(rng *rand.Rand) OpKind {
 	switch r := rng.Intn(100); {
 	case r < 24:
 		return OpSubmit
-	case r < 34:
-		return OpBatch
 	case r < 44:
-		return OpCoalesce
+		return OpBatch
 	case r < 62:
 		return OpComplete
 	case r < 70:

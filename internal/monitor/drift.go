@@ -80,8 +80,8 @@ func (d *Detector) Observe(err float64) bool {
 	if len(d.recent) < d.cfg.Window {
 		return false
 	}
-	s := stats.Summarize(d.recent)
-	shift := s.Mean - d.baseline.Mean()
+	mean, variance := windowMoments(d.recent)
+	shift := mean - d.baseline.Mean()
 	threshold := d.cfg.MeanShiftSigmas * d.baseline.Stddev()
 	if threshold < d.cfg.MinMeanShift {
 		threshold = d.cfg.MinMeanShift
@@ -89,10 +89,31 @@ func (d *Detector) Observe(err float64) bool {
 	if shift > threshold {
 		return true
 	}
-	if bv := d.baseline.Variance(); bv > 1e-12 && s.Variance > d.cfg.VarianceSurgeFactor*bv {
+	if bv := d.baseline.Variance(); bv > 1e-12 && variance > d.cfg.VarianceSurgeFactor*bv {
 		return true
 	}
 	return false
+}
+
+// windowMoments returns the mean and the two-pass sample variance of v
+// without copying or sorting it. The sums run in the same order as
+// stats.Summarize, so both results are bit-identical to its Mean and
+// Variance.
+func windowMoments(v []float64) (mean, variance float64) {
+	sum := 0.0
+	for _, x := range v {
+		sum += x
+	}
+	mean = sum / float64(len(v))
+	ss := 0.0
+	for _, x := range v {
+		d := x - mean
+		ss += d * d
+	}
+	if len(v) > 1 {
+		variance = ss / float64(len(v)-1)
+	}
+	return mean, variance
 }
 
 // Reset clears all state (called after a model rebuild: the new model

@@ -230,7 +230,6 @@ func WritePerfetto(w io.Writer, run *RunTrace) error {
 	}
 	if serveSeen {
 		meta(schedPID, serveTaskTID, "thread_name", "tasks")
-		meta(schedPID, serveCoalesceTID, "thread_name", "coalesce")
 		meta(schedPID, serveSchedTID, "thread_name", "sched")
 	}
 
@@ -239,12 +238,11 @@ func WritePerfetto(w io.Writer, run *RunTrace) error {
 }
 
 // Serving-run track layout on the scheduler process: task lifecycle
-// spans (admit→complete, async, keyed by the numeric placement ID),
-// coalescer waits, and scheduling passes.
+// spans (admit→complete, async, keyed by the numeric placement ID) and
+// scheduling passes.
 const (
-	serveTaskTID     = 1
-	serveCoalesceTID = 2
-	serveSchedTID    = 3
+	serveTaskTID  = 1
+	serveSchedTID = 2
 )
 
 // serveTaskNum extracts the numeric part of a "t-<n>" placement ID for
@@ -262,7 +260,7 @@ func serveTaskNum(task string) (int64, bool) {
 }
 
 // writeServeEvent renders one serving-path span. Interval spans
-// (coalesce_wait, score, batch_pass) are stamped at their end with DurS,
+// (score, batch_pass) are stamped at their end with DurS,
 // so the complete-span start is ts − dur; lifecycle events become async
 // b/e pairs (admit → complete) plus instants on the machine tracks.
 func writeServeEvent(out *perfettoFile, ev TraceEvent, schedPID int, machineMeta func(int)) {
@@ -322,12 +320,6 @@ func writeServeEvent(out *perfettoFile, ev TraceEvent, schedPID int, machineMeta
 			Name: "reject", Cat: "admission", Ph: "i", TS: ts, Scope: "t",
 			PID: schedPID, TID: serveTaskTID, Args: args,
 		})
-	case "coalesce_wait":
-		dur := sv.DurS * usPerSec
-		out.TraceEvents = append(out.TraceEvents, perfettoEvent{
-			Name: sv.App, Cat: "coalesce", Ph: "X", TS: ts - dur, Dur: &dur,
-			PID: schedPID, TID: serveCoalesceTID, Args: args,
-		})
 	case "score", "batch_pass":
 		dur := sv.DurS * usPerSec
 		args["batch"] = sv.Batch
@@ -338,7 +330,7 @@ func writeServeEvent(out *perfettoFile, ev TraceEvent, schedPID int, machineMeta
 			Name: ev.Kind, Cat: "sched", Ph: "X", TS: ts - dur, Dur: &dur,
 			PID: schedPID, TID: serveSchedTID, Args: args,
 		})
-	default: // plan_commit, plan_retry, plan_fallback, future kinds
+	default: // recovery, future kinds
 		out.TraceEvents = append(out.TraceEvents, perfettoEvent{
 			Name: ev.Kind, Cat: "sched", Ph: "i", TS: ts, Scope: "t",
 			PID: schedPID, TID: serveSchedTID, Args: args,

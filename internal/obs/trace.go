@@ -32,10 +32,11 @@ import (
 // TraceSchema versions the NDJSON stream. Schema 2 added the fault event
 // kinds (fail, timeout, evict, retry, lost, machine_down, machine_up);
 // schema 3 added the serving-path span kinds carried in the Serve payload
-// (admit, reject, coalesce_wait, batch_pass, score, plan_commit,
-// plan_retry, plan_fallback, place, complete, evict_requeue — the last
-// three distinguished from their simulator namesakes by the payload).
-// ReadTraces still accepts older streams, which simply predate them.
+// (admit, reject, batch_pass, score, place, complete, evict_requeue,
+// recovery — place and complete distinguished from their simulator
+// namesakes by the payload). ReadTraces still accepts older streams,
+// which simply predate them; kinds this build no longer emits are
+// rendered generically.
 const TraceSchema = 3
 
 // minTraceSchema is the oldest schema ReadTraces accepts.
@@ -74,7 +75,7 @@ type TraceEvent struct {
 // online daemon's request lifecycle, joinable end to end by Req (the
 // submission's X-Request-Id) and Task (the placement ID). T on the
 // enclosing event is seconds since the daemon started. Spans that cover
-// an interval (coalesce_wait, score, batch_pass) carry their duration in
+// an interval (score, batch_pass, recovery) carry their duration in
 // DurS and are stamped at the interval's end.
 type ServeInfo struct {
 	// Req is the request ID of the submission that created the task; on

@@ -437,9 +437,6 @@ type ServeSummary struct {
 	Passes    int
 	PassMeanS float64
 	PassMaxS  float64
-	// CoalesceMeanS is the mean coalesce_wait duration.
-	Coalesced     int
-	CoalesceMeanS float64
 }
 
 // IsServe reports whether the run carries serving-path spans.
@@ -494,16 +491,10 @@ func (r *RunTrace) ServeSummarize() ServeSummary {
 			if sv.DurS > sum.PassMaxS {
 				sum.PassMaxS = sv.DurS
 			}
-		case "coalesce_wait":
-			sum.Coalesced++
-			sum.CoalesceMeanS += sv.DurS
 		}
 	}
 	if sum.Passes > 0 {
 		sum.PassMeanS /= float64(sum.Passes)
-	}
-	if sum.Coalesced > 0 {
-		sum.CoalesceMeanS /= float64(sum.Coalesced)
 	}
 	apps := map[string]*ServeAppStats{}
 	for _, l := range lives {
@@ -562,10 +553,6 @@ func (r *RunTrace) summarizeServe(w io.Writer) {
 	if sum.Passes > 0 {
 		fmt.Fprintf(w, "\nscheduling passes: %d (mean %.2fms, max %.2fms)\n",
 			sum.Passes, sum.PassMeanS*1e3, sum.PassMaxS*1e3)
-	}
-	if sum.Coalesced > 0 {
-		fmt.Fprintf(w, "coalesced submissions: %d (mean wait %.2fms)\n",
-			sum.Coalesced, sum.CoalesceMeanS*1e3)
 	}
 }
 

@@ -69,14 +69,14 @@ func TestNoDirectTimeCalls(t *testing.T) {
 }
 
 // TestNoTornLoadReads bans pairing two single-field placer load reads —
-// Capacity, QueueDepth, FreeSlots — inside one function. Each call takes
+// QueueDepth, FreeSlots — inside one function. Each call takes
 // and drops the placer lock, so two calls describe two different
 // instants; arithmetic across them (an admission bound, a Retry-After
 // hint, an exported gauge pair) is a torn read. Functions that need a
 // consistent view must take one Snapshot(). placer.go itself is exempt:
 // it defines the accessors and does its real work under p.mu.
 func TestNoTornLoadReads(t *testing.T) {
-	loadReads := map[string]bool{"Capacity": true, "QueueDepth": true, "FreeSlots": true}
+	loadReads := map[string]bool{"QueueDepth": true, "FreeSlots": true}
 	fset, files := parseServeFiles(t)
 	for name, file := range files {
 		if name == "placer.go" {
@@ -115,14 +115,14 @@ func TestNoTornLoadReads(t *testing.T) {
 // the guard into a no-op.
 func TestTornLoadReadDetectorFires(t *testing.T) {
 	src := `package serve
-func torn(p *Placer) int { return p.Capacity() - p.QueueDepth() }
+func torn(p *Placer) int { return p.FreeSlots() - p.QueueDepth() }
 `
 	fset := token.NewFileSet()
 	file, err := parser.ParseFile(fset, "torn.go", src, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loadReads := map[string]bool{"Capacity": true, "QueueDepth": true, "FreeSlots": true}
+	loadReads := map[string]bool{"QueueDepth": true, "FreeSlots": true}
 	found := 0
 	for _, decl := range file.Decls {
 		fn, ok := decl.(*ast.FuncDecl)

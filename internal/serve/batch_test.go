@@ -5,13 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"tracon/internal/durable"
 	"tracon/internal/model"
 	"tracon/internal/obs"
 )
@@ -317,84 +320,6 @@ func TestHTTPSubmitBatchValidation(t *testing.T) {
 	}
 }
 
-// TestCoalescerGroupsSubmissions checks the micro-batcher: concurrent
-// singleton submissions inside one window flush as a single queue-aware
-// scheduling pass, each waiter gets its own outcome, and the batch-size
-// histogram accounts every task exactly once.
-func TestCoalescerGroupsSubmissions(t *testing.T) {
-	s := newTestServer(t, model.NLM, Config{
-		Machines: 3, Policy: "mibs", QueueLen: 8,
-		CoalesceWindow: 20 * time.Millisecond, BatchMax: 16,
-	})
-	if s.coalescer == nil {
-		t.Fatal("CoalesceWindow > 0 must wire a coalescer")
-	}
-	apps := testLibrary(t, model.NLM).Apps()
-
-	const n = 6 // exactly the slot count: every task places
-	var wg sync.WaitGroup
-	recs := make([]*Placement, n)
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			recs[i], errs[i] = s.coalescer.Submit(apps[i%len(apps)])
-		}(i)
-	}
-	wg.Wait()
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			t.Fatalf("submit %d: %v", i, errs[i])
-		}
-		if recs[i].Status != StatusPlaced {
-			t.Fatalf("submit %d: status %q, want placed onto the empty cluster", i, recs[i].Status)
-		}
-	}
-	size := s.reg.Histogram("serve.batch_size", obs.BatchSizeBuckets()).Snapshot()
-	if size.Sum != n {
-		t.Fatalf("batch-size histogram accounted %v tasks, want %d", size.Sum, n)
-	}
-	if size.N < 1 || size.N > n {
-		t.Fatalf("batch-size histogram N = %d", size.N)
-	}
-	if w := s.reg.Gauge("serve.coalesce_waiting").Value(); w != 0 {
-		t.Fatalf("coalesce_waiting gauge %v after all flushes", w)
-	}
-	if err := s.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestCoalescerFlushesEarlyAtMaxBatch checks the size trigger: a group
-// reaching BatchMax flushes without waiting out the window.
-func TestCoalescerFlushesEarlyAtMaxBatch(t *testing.T) {
-	s := newTestServer(t, model.NLM, Config{
-		Machines: 2, Policy: "mibs", QueueLen: 8,
-		CoalesceWindow: 10 * time.Second, // far beyond the test's patience
-		BatchMax:       2,
-	})
-	apps := testLibrary(t, model.NLM).Apps()
-
-	done := make(chan error, 2)
-	for i := 0; i < 2; i++ {
-		go func(i int) {
-			_, err := s.coalescer.Submit(apps[i%len(apps)])
-			done <- err
-		}(i)
-	}
-	for i := 0; i < 2; i++ {
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatal(err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("size-triggered flush did not happen before the window")
-		}
-	}
-}
-
 // TestSlowBodyDoesNotPinToken proves the in-flight fix: a client trickling
 // its request body must not hold one of the admission tokens — the token
 // covers only the placement decision, which starts after the body is read.
@@ -503,7 +428,7 @@ func TestScaledBoundEdges(t *testing.T) {
 }
 
 // TestSnapshotConsistency checks the single-lock snapshot against the
-// individual accessors in a quiescent placer.
+// individual accessors and the machine inventory in a quiescent placer.
 func TestSnapshotConsistency(t *testing.T) {
 	s := newTestServer(t, model.NLM, Config{Machines: 3, Policy: "mios", MaxQueue: -1})
 	p := s.Placer()
@@ -514,13 +439,90 @@ func TestSnapshotConsistency(t *testing.T) {
 		}
 	}
 	snap := p.Snapshot()
-	available, total := p.Capacity()
+	machines := p.Machines()
+	available := 0
+	for _, m := range machines {
+		if m.State == MachineUp {
+			available += SlotsPerMachine
+		}
+	}
 	if snap.QueueDepth != p.QueueDepth() || snap.FreeSlots != p.FreeSlots() ||
-		snap.Available != available || snap.Total != total {
+		snap.Available != available || snap.Total != SlotsPerMachine*len(machines) {
 		t.Fatalf("snapshot %+v disagrees with accessors (%d queued, %d free, %d/%d capacity)",
-			snap, p.QueueDepth(), p.FreeSlots(), available, total)
+			snap, p.QueueDepth(), p.FreeSlots(), available, SlotsPerMachine*len(machines))
 	}
 	if snap.QueueDepth != 2 || snap.FreeSlots != 0 || snap.Available != 6 || snap.Total != 6 {
 		t.Fatalf("snapshot %+v, want 2 queued on a full 6-slot cluster", snap)
+	}
+}
+
+// TestSubmitMatchesBatchOfOne is the differential check behind the single
+// submission path: two fresh journaled placers fed the same stream, one
+// through Submit(app) and one through SubmitBatch([]string{app}), must
+// return identical records at every step, and their journals must replay
+// to identical state.
+func TestSubmitMatchesBatchOfOne(t *testing.T) {
+	apps := testLibrary(t, model.NLM).Apps()
+	dirs := [2]string{t.TempDir(), t.TempDir()}
+	var servers [2]*Server
+	var mgrs [2]*durable.Manager
+	for i, dir := range dirs {
+		servers[i], mgrs[i] = newDurableServer(t, dir, 3)
+	}
+	submit := [2]func(app string) (*Placement, error){
+		servers[0].Placer().Submit,
+		func(app string) (*Placement, error) {
+			out, err := servers[1].Placer().SubmitBatch([]string{app})
+			if err != nil {
+				return nil, err
+			}
+			return out[0].Placement, out[0].Err
+		},
+	}
+	rng := rand.New(rand.NewSource(3))
+	var ids []string
+	for step := 0; step < 200; step++ {
+		var got [2]*Placement
+		if rng.Intn(3) > 0 || len(ids) == 0 {
+			app := apps[rng.Intn(len(apps))]
+			for i := range servers {
+				rec, err := submit[i](app)
+				if err != nil {
+					t.Fatalf("step %d, placer %d: %v", step, i, err)
+				}
+				got[i] = rec
+			}
+			ids = append(ids, got[0].ID)
+		} else {
+			// Complete the oldest placed task on both.
+			for _, id := range ids {
+				if rec, _ := servers[0].Placer().Get(id); rec.Status != StatusPlaced {
+					continue
+				}
+				for i := range servers {
+					rec, err := servers[i].Placer().Complete(id)
+					if err != nil {
+						t.Fatalf("step %d, placer %d: complete %s: %v", step, i, id, err)
+					}
+					got[i] = rec
+				}
+				break
+			}
+		}
+		if !reflect.DeepEqual(got[0], got[1]) {
+			t.Fatalf("step %d: records diverge:\nSubmit:       %+v\nbatch of one: %+v", step, got[0], got[1])
+		}
+	}
+	var replayed [2]string
+	for i, dir := range dirs {
+		if err := mgrs[i].Close(); err != nil { // crash: no final snapshot
+			t.Fatal(err)
+		}
+		s, mgr := newDurableServer(t, dir, 3)
+		replayed[i] = stateJSON(t, s.Placer().ExportState())
+		mgr.Close()
+	}
+	if replayed[0] != replayed[1] {
+		t.Fatalf("journals replay to different state:\nSubmit:       %s\nbatch of one: %s", replayed[0], replayed[1])
 	}
 }

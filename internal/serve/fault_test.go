@@ -108,8 +108,8 @@ func TestDrainCordonsMachine(t *testing.T) {
 			t.Fatalf("task placed on cordoned machine: %+v", rec)
 		}
 	}
-	if avail, total := p.Capacity(); avail != 2 || total != 4 {
-		t.Fatalf("capacity %d/%d, want 2/4", avail, total)
+	if snap := p.Snapshot(); snap.Available != 2 || snap.Total != 4 {
+		t.Fatalf("capacity %d/%d, want 2/4", snap.Available, snap.Total)
 	}
 	// Undrain promotes the backlog onto the restored machine.
 	if err := p.Undrain(1); err != nil {

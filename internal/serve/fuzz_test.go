@@ -114,7 +114,7 @@ func FuzzPlacerBacklog(f *testing.F) {
 				}
 			case 8:
 				key := fmt.Sprintf("k%d", arg%4)
-				rec, err := p.SubmitKeyed(apps[arg%len(apps)], "", key)
+				rec, err := submitKeyed(p, apps[arg%len(apps)], "", key)
 				switch {
 				case errors.Is(err, ErrQueueFull):
 					rejected++

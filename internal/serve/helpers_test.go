@@ -45,3 +45,9 @@ func testLibrary(t testing.TB, k model.Kind) *model.Library {
 	libCache[k] = lib
 	return lib
 }
+
+// submitKeyed submits one task carrying a request ID and an idempotency
+// key through the single submission path.
+func submitKeyed(p *Placer, app, reqID, key string) (*Placement, error) {
+	return single(p.SubmitRequests([]SubmitRequest{{App: app, ReqID: reqID, Key: key}}))
+}

@@ -76,11 +76,23 @@ func (j *journal) enabled() bool { return j != nil }
 
 // Event constructors, shared by the live paths and the tests.
 
-func admitEvent(rec *Placement) durable.Event {
-	return durable.Event{
-		Kind: durable.EvAdmit, Task: rec.ID, App: rec.App,
-		Req: rec.ReqID, Dedup: rec.idem, Machine: -1, Slot: -1,
+// admitEvent journals one submission's freshly admitted tasks. A lone
+// task keeps the compact admit record, so a singleton's WAL bytes are the
+// same whichever entry point admitted it; two or more share one
+// batch_admit record.
+func admitEvent(recs []*Placement) durable.Event {
+	if len(recs) == 1 {
+		rec := recs[0]
+		return durable.Event{
+			Kind: durable.EvAdmit, Task: rec.ID, App: rec.App,
+			Req: rec.ReqID, Dedup: rec.idem, Machine: -1, Slot: -1,
+		}
 	}
+	refs := make([]durable.TaskRef, len(recs))
+	for i, rec := range recs {
+		refs[i] = taskRef(rec)
+	}
+	return durable.Event{Kind: durable.EvBatchAdmit, Tasks: refs, Machine: -1, Slot: -1}
 }
 
 func taskRef(rec *Placement) durable.TaskRef {
@@ -196,7 +208,6 @@ func (p *Placer) RestoreState(st *durable.PlacerState) error {
 	p.done = append([]string(nil), st.Done...)
 	p.nextID = st.NextID
 	p.placedCount = placed
-	p.version++
 	if p.admission != nil {
 		p.admission.CountRejections(int(st.Rejected))
 	}
@@ -236,7 +247,6 @@ func (p *Placer) Apply(ev durable.Event) error {
 	default:
 		return fmt.Errorf("serve: replay: unknown event kind %q at seq %d", ev.Kind, ev.Seq)
 	}
-	p.version++
 	return nil
 }
 
@@ -290,7 +300,6 @@ func (p *Placer) applyPlaceLocked(ev durable.Event) error {
 	rec.Generation = ev.Gen
 	rec.bg = append([]float64(nil), ev.BG...)
 	p.removeQueuedLocked(ev.Task)
-	p.version++
 	return nil
 }
 
@@ -308,7 +317,6 @@ func (p *Placer) applyFinishLocked(id, status, errMsg string) {
 	rec.Status = status
 	rec.Error = errMsg
 	p.finishLocked(id)
-	p.version++
 }
 
 func (p *Placer) applyFailLocked(ev durable.Event) {
@@ -320,7 +328,6 @@ func (p *Placer) applyFailLocked(ev durable.Event) {
 	rec.Status = StatusFailed
 	rec.Error = ev.Error
 	p.finishLocked(ev.Task)
-	p.version++
 }
 
 func (p *Placer) applyKillLocked(ev durable.Event) error {
@@ -365,7 +372,6 @@ func (p *Placer) applyKillLocked(ev durable.Event) error {
 		}
 	}
 	p.queue = append(front, p.queue...)
-	p.version++
 	return nil
 }
 
@@ -386,7 +392,6 @@ func (p *Placer) applyRequeueLocked(ev durable.Event) {
 		front = append(front, rec.ID)
 	}
 	p.queue = append(front, p.queue...)
-	p.version++
 }
 
 func (p *Placer) applyMachineLocked(ev durable.Event) error {
@@ -408,7 +413,6 @@ func (p *Placer) applyMachineLocked(ev durable.Event) error {
 			m.state = MachineUp
 		}
 	}
-	p.version++
 	return nil
 }
 
@@ -466,7 +470,6 @@ func (p *Placer) RequeueOrphans() int {
 	}
 	p.queue = append(front, p.queue...)
 	if len(refs) > 0 {
-		p.version++
 		p.journal.append(durable.Event{Kind: durable.EvRequeue, Tasks: refs, Machine: -1, Slot: -1})
 	}
 	p.mu.Unlock()

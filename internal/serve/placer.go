@@ -112,13 +112,10 @@ type machine struct {
 const SlotsPerMachine = 2
 
 // Placer owns the serving-side cluster state: the machine inventory, the
-// FIFO backlog, and the placement records. All mutations happen under one
-// mutex, but the expensive part of a scheduling pass — model scoring over
-// the backlog — runs OUTSIDE the lock against an immutable snapshot of
-// the inventory, then commits its decisions only if nothing changed in
-// between (a version counter guards the snapshot). Under contention the
-// commit retries with a fresh snapshot, falling back to fully-locked
-// scheduling so progress is guaranteed.
+// FIFO backlog, and the placement records. Every mutation, and every
+// scheduling pass — plan, model scoring and commit — happens under one
+// mutex: scoring is a small share of a request's cost, so holding the
+// lock through it is cheaper than any scheme that scores outside it.
 //
 // Admission is enforced here, atomically with the enqueue: the scaled
 // queue bound is checked and the task enqueued under one critical section,
@@ -143,11 +140,6 @@ type Placer struct {
 	// dedup maps idempotency keys to placement IDs for as long as the
 	// record itself is retained; entries leave with the finished ring.
 	dedup map[string]string
-
-	// version stamps the mutable state (queue, slots, machine states);
-	// every mutation bumps it, and an optimistic scheduling pass commits
-	// only if the version still matches its snapshot.
-	version uint64
 
 	// done is the FIFO of finished (completed/failed) placement IDs; the
 	// oldest records are dropped beyond doneCap so the map stays bounded.
@@ -186,116 +178,76 @@ func NewPlacer(models *ModelSet, admission *Admission, machines, completedCap in
 	}, nil
 }
 
-// Submit validates, admits, records and tries to place one task. The
-// returned Placement is a copy; its status is placed when a slot was free
-// (or the scheduler chose to use one) and queued otherwise. The admission
-// bound is checked atomically with the enqueue: at no instant can
-// concurrent submits push the backlog past the scaled bound.
-func (p *Placer) Submit(app string) (*Placement, error) {
-	return p.SubmitTagged(app, "")
+// SubmitRequest is one task in a submission: the application to place,
+// the originating request ID (which lands on the placement record and
+// every trace span the task emits), and an optional idempotency key.
+type SubmitRequest struct {
+	App   string
+	ReqID string
+	// Key, when non-empty and matching a retained record — a client
+	// retrying a submit it never saw acknowledged, possibly across a daemon
+	// crash — returns that record instead of admitting a duplicate.
+	Key string
 }
 
-// SubmitTagged is Submit carrying the originating request ID, which lands
-// on the placement record and every trace span the task emits.
-func (p *Placer) SubmitTagged(app, reqID string) (*Placement, error) {
-	return p.SubmitKeyed(app, reqID, "")
-}
-
-// SubmitKeyed is SubmitTagged with an idempotency key: a non-empty key
-// that matches a retained record — a client retrying a submit it never
-// saw acknowledged, possibly across a daemon crash — returns that record
-// instead of admitting a duplicate. The dedup check, the admission bound
-// and the enqueue share one critical section, and the admit event is
-// journaled (and, under fsync=always, on disk) before the caller is
-// acknowledged.
-func (p *Placer) SubmitKeyed(app, reqID, key string) (*Placement, error) {
-	view := p.models.View()
-	if err := p.checkKnown(view, app); err != nil {
-		return nil, err
-	}
-	p.mu.Lock()
-	if key != "" {
-		if id, ok := p.dedup[key]; ok {
-			if rec, ok := p.placements[id]; ok {
-				out := rec.clone()
-				p.mu.Unlock()
-				return out, nil
-			}
-		}
-	}
-	if budget := p.admitBudgetLocked(); budget == 0 {
-		p.mu.Unlock()
-		p.tracer.reject(reqID, app, "queue full")
-		return nil, ErrQueueFull
-	}
-	rec := p.enqueueLocked(app, reqID)
-	if key != "" {
-		rec.idem = key
-		p.dedup[key] = rec.ID
-	}
-	if p.journal.enabled() {
-		p.journal.append(admitEvent(rec))
-	}
-	p.mu.Unlock()
-	p.tracer.admit(reqID, rec.ID, app)
-	if err := p.drain(); err != nil {
-		return nil, err
-	}
-	return p.snapshotRecord(rec), nil
-}
-
-// BatchOutcome is one task's result inside a SubmitBatch: either a
+// BatchOutcome is one task's result inside a submission: either a
 // placement record or a per-task error (unknown application, queue full).
 type BatchOutcome struct {
 	Placement *Placement
 	Err       error
 }
 
-// SubmitBatch admits and enqueues a whole batch under one critical
-// section, then runs queue-aware scheduling passes over the combined
-// backlog — the batch schedulers (MIBS/MIX) see every queued task at once
-// instead of a stream of singletons. Outcomes are per task and positional:
-// unknown applications and tasks beyond the admission budget are rejected
-// individually without failing the rest of the batch. The returned error
-// is global (a scheduling failure); per-task problems live in the slice.
+// Submit places one task: a batch of one. The returned Placement is a
+// copy; its status is placed when a slot was free (or the scheduler chose
+// to use one) and queued otherwise.
+func (p *Placer) Submit(app string) (*Placement, error) {
+	return single(p.SubmitRequests([]SubmitRequest{{App: app}}))
+}
+
+// SubmitBatch places a batch of untagged, unkeyed tasks.
 func (p *Placer) SubmitBatch(apps []string) ([]BatchOutcome, error) {
-	return p.SubmitBatchTagged(apps, nil)
+	reqs := make([]SubmitRequest, len(apps))
+	for i, app := range apps {
+		reqs[i].App = app
+	}
+	return p.SubmitRequests(reqs)
 }
 
-// SubmitBatchTagged is SubmitBatch carrying per-task request IDs
-// (positional with apps; nil or short slices leave the remainder untagged).
-func (p *Placer) SubmitBatchTagged(apps, reqIDs []string) ([]BatchOutcome, error) {
-	return p.SubmitBatchKeyed(apps, reqIDs, nil)
+// single unwraps a batch of one into the singleton shape: the task's own
+// error, else the global scheduling error, else the record.
+func single(out []BatchOutcome, err error) (*Placement, error) {
+	if out[0].Err != nil {
+		return nil, out[0].Err
+	}
+	if err != nil {
+		return nil, err
+	}
+	return out[0].Placement, nil
 }
 
-// SubmitBatchKeyed is SubmitBatchTagged with per-task idempotency keys
-// (positional; nil or short slices leave the remainder unkeyed). A task
-// whose key matches a retained record returns that record without
-// re-admitting it; the freshly admitted remainder is journaled as one
-// batch_admit event — one commit point, one fsync.
-func (p *Placer) SubmitBatchKeyed(apps, reqIDs, keys []string) ([]BatchOutcome, error) {
+// SubmitRequests is the one submission path. It dedups, admits and
+// enqueues the whole group under one critical section, journals the
+// freshly admitted tasks as one event — one commit point, one fsync, on
+// disk under fsync=always before the caller is acknowledged — then runs queue-aware scheduling passes over the combined backlog, so
+// the batch schedulers (MIBS/MIX) see every queued task at once.
+//
+// Outcomes are per task and positional: unknown applications and tasks
+// beyond the admission budget are rejected individually without failing
+// the rest; a keyed task matching a retained record returns that record
+// without re-admitting it. The admission bound is checked atomically with
+// the enqueue, so concurrent submits can never push the backlog past the
+// scaled bound. The returned error is global (a scheduling failure).
+func (p *Placer) SubmitRequests(reqs []SubmitRequest) ([]BatchOutcome, error) {
 	view := p.models.View()
-	out := make([]BatchOutcome, len(apps))
+	out := make([]BatchOutcome, len(reqs))
 	var recs []*Placement
-	reqID := func(i int) string {
-		if i < len(reqIDs) {
-			return reqIDs[i]
-		}
-		return ""
-	}
-	key := func(i int) string {
-		if i < len(keys) {
-			return keys[i]
-		}
-		return ""
-	}
 
 	p.mu.Lock()
 	budget := p.admitBudgetLocked()
-	deduped := make([]bool, len(apps))
-	for i, app := range apps {
-		if k := key(i); k != "" {
-			if id, ok := p.dedup[k]; ok {
+	deduped := make([]bool, len(reqs))
+	for i, r := range reqs {
+		if r.Key != "" {
+			if id, ok := p.dedup[r.Key]; ok {
 				if rec, ok := p.placements[id]; ok {
 					out[i].Placement = rec // live pointer; cloned below
 					deduped[i] = true
@@ -303,7 +255,7 @@ func (p *Placer) SubmitBatchKeyed(apps, reqIDs, keys []string) ([]BatchOutcome, 
 				}
 			}
 		}
-		if err := p.checkKnown(view, app); err != nil {
+		if err := p.checkKnown(view, r.App); err != nil {
 			out[i].Err = err
 			continue
 		}
@@ -314,28 +266,24 @@ func (p *Placer) SubmitBatchKeyed(apps, reqIDs, keys []string) ([]BatchOutcome, 
 		if budget > 0 {
 			budget--
 		}
-		rec := p.enqueueLocked(app, reqID(i))
-		if k := key(i); k != "" {
-			rec.idem = k
-			p.dedup[k] = rec.ID
+		rec := p.enqueueLocked(r.App, r.ReqID)
+		if r.Key != "" {
+			rec.idem = r.Key
+			p.dedup[r.Key] = rec.ID
 		}
 		out[i].Placement = rec // live pointer; snapshotted after the drain
 		recs = append(recs, rec)
 	}
 	if p.journal.enabled() && len(recs) > 0 {
-		refs := make([]durable.TaskRef, len(recs))
-		for i, rec := range recs {
-			refs[i] = taskRef(rec)
-		}
-		p.journal.append(durable.Event{Kind: durable.EvBatchAdmit, Tasks: refs, Machine: -1, Slot: -1})
+		p.journal.append(admitEvent(recs))
 	}
 	p.mu.Unlock()
-	for i, app := range apps {
+	for i, r := range reqs {
 		switch {
 		case out[i].Placement != nil && !deduped[i]:
-			p.tracer.admit(reqID(i), out[i].Placement.ID, app)
+			p.tracer.admit(r.ReqID, out[i].Placement.ID, r.App)
 		case errors.Is(out[i].Err, ErrQueueFull):
-			p.tracer.reject(reqID(i), app, "queue full")
+			p.tracer.reject(r.ReqID, r.App, "queue full")
 		}
 	}
 
@@ -380,7 +328,6 @@ func (p *Placer) enqueueLocked(app, reqID string) *Placement {
 	}
 	p.placements[rec.ID] = rec
 	p.queue = append(p.queue, rec.ID)
-	p.version++
 	return rec
 }
 
@@ -404,13 +351,6 @@ func (p *Placer) admitBudgetLocked() int {
 		budget = 0
 	}
 	return budget
-}
-
-// snapshotRecord clones a live record under the lock.
-func (p *Placer) snapshotRecord(rec *Placement) *Placement {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return rec.clone()
 }
 
 // Observation is a completion report: what the task actually experienced.
@@ -441,7 +381,6 @@ func (p *Placer) Complete(id string) (*Placement, error) {
 	p.placedCount--
 	rec.Status = StatusCompleted
 	p.finishLocked(rec.ID)
-	p.version++
 	if p.journal.enabled() {
 		p.journal.append(durable.Event{
 			Kind: durable.EvComplete, Task: rec.ID,
@@ -506,16 +445,10 @@ func (p *Placer) freeSlotsLocked() int {
 	return free
 }
 
-// Capacity reports the schedulable slot count (VMs on up machines) against
-// the full inventory; admission control scales its queue bound by the
-// ratio, so a cluster that lost machines sheds load instead of queueing
-// work it cannot place.
-func (p *Placer) Capacity() (available, total int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.capacityLocked()
-}
-
+// capacityLocked reports the schedulable slot count (VMs on up machines)
+// against the full inventory; admission control scales its queue bound by
+// the ratio, so a cluster that lost machines sheds load instead of
+// queueing work it cannot place.
 func (p *Placer) capacityLocked() (available, total int) {
 	for i := range p.machines {
 		if p.machines[i].state == MachineUp {
@@ -580,7 +513,6 @@ func (p *Placer) transition(id int, from, to, kind string, redrain bool) error {
 		return fmt.Errorf("%w: machine %d is %s, not %s", ErrBadTransition, id, m.state, from)
 	}
 	m.state = to
-	p.version++
 	if p.journal.enabled() {
 		p.journal.append(durable.Event{Kind: kind, Machine: id, Slot: -1})
 	}
@@ -627,7 +559,6 @@ func (p *Placer) Kill(id int) (requeued int, err error) {
 		refs = append(refs, taskRef(rec))
 	}
 	p.queue = append(lost, p.queue...)
-	p.version++
 	if p.journal.enabled() {
 		p.journal.append(durable.Event{Kind: durable.EvKill, Machine: id, Slot: -1, Tasks: refs})
 	}
@@ -711,16 +642,14 @@ func (p *Placer) countsLocked() sched.Counts {
 	return counts
 }
 
-// schedPlan is one immutable scheduling input: the head of the backlog,
-// the free-pool census and the load signal, stamped with the state
-// version they were captured at. Scoring runs against it lock-free.
+// schedPlan is one scheduling input: the head of the backlog, the
+// free-pool census and the load signal.
 type schedPlan struct {
-	version uint64
-	view    ModelView
-	ids     []string // queue prefix the batch was built from
-	batch   []sched.Task
-	counts  sched.Counts
-	load    sched.Load
+	view   ModelView
+	ids    []string // queue prefix the batch was built from
+	batch  []sched.Task
+	counts sched.Counts
+	load   sched.Load
 }
 
 // planLocked evicts queue entries the current library cannot score, then
@@ -741,7 +670,6 @@ func (p *Placer) planLocked() (plan schedPlan, ok bool) {
 		rec.Status = StatusFailed
 		rec.Error = fmt.Sprintf("application %q unknown to generation %d library", rec.App, view.Gen)
 		p.finishLocked(id)
-		p.version++
 		if p.journal.enabled() {
 			failed = append(failed, durable.Event{
 				Kind: durable.EvFail, Task: id, Machine: -1, Slot: -1, Error: rec.Error,
@@ -767,20 +695,18 @@ func (p *Placer) planLocked() (plan schedPlan, ok bool) {
 	// utilization the adaptive policies see, exactly as in the simulator.
 	available, _ := p.capacityLocked()
 	return schedPlan{
-		version: p.version,
-		view:    view,
-		ids:     ids,
-		batch:   batch,
-		counts:  p.countsLocked(),
-		load:    sched.Load{TotalSlots: available, Queued: len(p.queue)},
+		view:   view,
+		ids:    ids,
+		batch:  batch,
+		counts: p.countsLocked(),
+		load:   sched.Load{TotalSlots: available, Queued: len(p.queue)},
 	}, true
 }
 
-// commitLocked binds a scheduling pass's decisions to concrete slots. It
-// must be called with the version check already passed (or while the plan
-// was built and committed under one continuous lock hold): the queue
-// prefix still matches plan.ids exactly. done reports whether draining
-// should stop (nothing placed, or the cluster filled mid-batch).
+// commitLocked binds a scheduling pass's decisions to concrete slots and
+// drops the placed tasks from the queue prefix the plan was built from.
+// done reports whether draining should stop (nothing placed, or the
+// cluster filled mid-batch).
 func (p *Placer) commitLocked(plan schedPlan, placements []sched.Placement) (done bool, err error) {
 	if len(placements) == 0 {
 		return true, nil
@@ -807,23 +733,12 @@ func (p *Placer) commitLocked(plan schedPlan, placements []sched.Placement) (don
 		}
 	}
 	p.queue = kept
-	p.version++
 	return len(placements) < len(plan.batch), nil
 }
 
-// optimisticRetries bounds how many stale-snapshot misses a draining pass
-// tolerates before falling back to scheduling under the lock.
-const optimisticRetries = 3
-
-// drain runs the scheduler over the backlog until it stops placing.
-// Scoring — the expensive part of a pass — runs outside the placer lock
-// against an immutable snapshot; the commit re-takes the lock and applies
-// the decisions only if the state version still matches. A stale snapshot
-// (another submit, completion or lifecycle op landed in between) is
-// recomputed; after optimisticRetries misses the pass schedules under the
-// lock, which cannot miss.
+// drain runs the scheduler over the backlog until it stops placing. Each
+// pass plans, scores and commits under one hold of the placer lock.
 func (p *Placer) drain() error {
-	misses := 0
 	for {
 		t0 := p.clock.Now()
 		p.mu.Lock()
@@ -832,49 +747,19 @@ func (p *Placer) drain() error {
 			p.mu.Unlock()
 			return nil
 		}
-		if misses >= optimisticRetries {
-			// Contention fallback: plan, score and commit under one hold.
-			p.tracer.planOutcome("plan_fallback", len(plan.batch))
-			s0 := p.clock.Now()
-			placements, err := plan.view.Scheduler.Schedule(plan.batch, plan.counts, plan.load)
-			p.tracer.score(len(plan.batch), len(placements), p.clock.Since(s0))
-			if err != nil {
-				p.mu.Unlock()
-				return fmt.Errorf("serve: scheduling: %w", err)
-			}
-			done, err := p.commitLocked(plan, placements)
-			p.mu.Unlock()
-			p.tracer.batchPass(len(plan.batch), len(placements), p.clock.Since(t0))
-			if err != nil || done {
-				return err
-			}
-			misses = 0
-			continue
-		}
-		p.mu.Unlock()
-
 		s0 := p.clock.Now()
 		placements, err := plan.view.Scheduler.Schedule(plan.batch, plan.counts, plan.load)
 		p.tracer.score(len(plan.batch), len(placements), p.clock.Since(s0))
 		if err != nil {
-			return fmt.Errorf("serve: scheduling: %w", err)
-		}
-
-		p.mu.Lock()
-		if p.version != plan.version {
 			p.mu.Unlock()
-			p.tracer.planOutcome("plan_retry", len(plan.batch))
-			misses++
-			continue
+			return fmt.Errorf("serve: scheduling: %w", err)
 		}
 		done, err := p.commitLocked(plan, placements)
 		p.mu.Unlock()
-		p.tracer.planOutcome("plan_commit", len(plan.batch))
 		p.tracer.batchPass(len(plan.batch), len(placements), p.clock.Since(t0))
 		if err != nil || done {
 			return err
 		}
-		misses = 0
 	}
 }
 

@@ -78,7 +78,7 @@ func TestRecoveryGoldenState(t *testing.T) {
 	apps := testLibrary(t, model.NLM).Apps()
 	var ids []string
 	for i := 0; i < 6; i++ {
-		rec, err := p1.SubmitKeyed(apps[i%len(apps)], fmt.Sprintf("req-%d", i), fmt.Sprintf("key-%d", i))
+		rec, err := submitKeyed(p1, apps[i%len(apps)], fmt.Sprintf("req-%d", i), fmt.Sprintf("key-%d", i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func TestRecoveryOrphanRequeue(t *testing.T) {
 	var ids []string
 	placed := 0
 	for i := 0; i < 6; i++ {
-		rec, err := p1.SubmitKeyed(apps[i%len(apps)], "", fmt.Sprintf("key-%d", i))
+		rec, err := submitKeyed(p1, apps[i%len(apps)], "", fmt.Sprintf("key-%d", i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +188,7 @@ func TestRecoveryDedupSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	s1, mgr1 := newDurableServer(t, dir, 2)
 	apps := testLibrary(t, model.NLM).Apps()
-	rec1, err := s1.Placer().SubmitKeyed(apps[0], "req-1", "client-key-A")
+	rec1, err := submitKeyed(s1.Placer(), apps[0], "req-1", "client-key-A")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestRecoveryDedupSurvivesRestart(t *testing.T) {
 
 	s2, mgr2 := newDurableServer(t, dir, 2)
 	defer mgr2.Close()
-	rec2, err := s2.Placer().SubmitKeyed(apps[1], "req-2", "client-key-A")
+	rec2, err := submitKeyed(s2.Placer(), apps[1], "req-2", "client-key-A")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestReplayIdempotence(t *testing.T) {
 	apps := testLibrary(t, model.NLM).Apps()
 	var ids []string
 	for i := 0; i < 6; i++ {
-		rec, err := p1.SubmitKeyed(apps[i%len(apps)], "", fmt.Sprintf("key-%d", i))
+		rec, err := submitKeyed(p1, apps[i%len(apps)], "", fmt.Sprintf("key-%d", i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,7 +327,7 @@ func TestRecoveryCrashPointMatrix(t *testing.T) {
 	apps := testLibrary(t, model.NLM).Apps()
 	var ids []string
 	for i := 0; i < 5; i++ {
-		rec, err := p1.SubmitKeyed(apps[i%len(apps)], "", fmt.Sprintf("key-%d", i))
+		rec, err := submitKeyed(p1, apps[i%len(apps)], "", fmt.Sprintf("key-%d", i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -408,14 +408,14 @@ func TestRecoveryTornSnapshotFallback(t *testing.T) {
 	s1, mgr1 := newDurableServer(t, dir, 2)
 	p1 := s1.Placer()
 	apps := testLibrary(t, model.NLM).Apps()
-	rec, err := p1.SubmitKeyed(apps[0], "", "key-0")
+	rec, err := submitKeyed(p1, apps[0], "", "key-0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s1.SnapshotNow(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p1.SubmitKeyed(apps[1], "", "key-1"); err != nil {
+	if _, err := submitKeyed(p1, apps[1], "", "key-1"); err != nil {
 		t.Fatal(err)
 	}
 	last := mgr1.LastSeq()
@@ -467,5 +467,76 @@ func TestRecoveryWrongClusterShape(t *testing.T) {
 		t.Fatal("booted a 5-machine server over a 2-machine journal")
 	} else if !strings.Contains(err.Error(), "cluster shape") {
 		t.Fatalf("unexpected shape error: %v", err)
+	}
+}
+
+// TestRecoveryAdmitMatchesBatchAdmit boots over a WAL holding one admit
+// record per task — what a stream of singletons writes — and requires the
+// same recovered state as one batch_admit record for the same tasks:
+// records, request IDs, dedup keys and the ID counter all survive.
+func TestRecoveryAdmitMatchesBatchAdmit(t *testing.T) {
+	apps := testLibrary(t, model.NLM).Apps()
+	refs := make([]durable.TaskRef, 5) // 5 tasks on 4 slots: one stays queued
+	for i := range refs {
+		refs[i] = durable.TaskRef{
+			Task: fmt.Sprintf("t-%d", i+1), App: apps[i%len(apps)],
+			Req: fmt.Sprintf("req-%d", i), Dedup: fmt.Sprintf("key-%d", i),
+		}
+	}
+	singles := make([]durable.Event, len(refs))
+	for i, r := range refs {
+		singles[i] = durable.Event{
+			Kind: durable.EvAdmit, Task: r.Task, App: r.App, Req: r.Req, Dedup: r.Dedup,
+			Machine: -1, Slot: -1,
+		}
+	}
+	batched := []durable.Event{{Kind: durable.EvBatchAdmit, Tasks: refs, Machine: -1, Slot: -1}}
+
+	recovered := map[string]string{}
+	for name, evs := range map[string][]durable.Event{"admit": singles, "batch_admit": batched} {
+		dir := t.TempDir()
+		mgr, err := durable.Open(dir, durable.Options{Fsync: durable.FsyncAlways})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mgr.Append(evs...); err != nil {
+			t.Fatal(err)
+		}
+		if err := mgr.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		s, mgr := newDurableServer(t, dir, 2)
+		p := s.Placer()
+		for i, r := range refs {
+			rec, ok := p.Get(r.Task)
+			if !ok || rec.App != r.App || rec.ReqID != r.Req {
+				t.Fatalf("%s: %s recovered as %+v", name, r.Task, rec)
+			}
+			want := StatusPlaced
+			if i == len(refs)-1 {
+				want = StatusQueued // behind a full cluster
+			}
+			if rec.Status != want {
+				t.Fatalf("%s: %s is %s, want %s", name, r.Task, rec.Status, want)
+			}
+		}
+		if rec, err := submitKeyed(p, apps[0], "", "key-2"); err != nil || rec.ID != "t-3" {
+			t.Fatalf("%s: replayed dedup key returned %+v, %v; want t-3", name, rec, err)
+		}
+		if rec, err := p.Submit(apps[0]); err != nil || rec.ID != "t-6" {
+			t.Fatalf("%s: next submit minted %+v, %v; want t-6", name, rec, err)
+		}
+		if err := p.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		st := p.ExportState()
+		st.Seq = 0 // the two journals hold different event counts
+		recovered[name] = stateJSON(t, st)
+		mgr.Close()
+	}
+	if recovered["admit"] != recovered["batch_admit"] {
+		t.Fatalf("admit replay diverges from batch_admit:\nadmit:       %s\nbatch_admit: %s",
+			recovered["admit"], recovered["batch_admit"])
 	}
 }

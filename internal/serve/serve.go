@@ -47,6 +47,16 @@ import (
 	"tracon/internal/sched"
 )
 
+// DefaultBatchMax caps one POST /v1/tasks:batch request when
+// Config.BatchMax is zero.
+const DefaultBatchMax = 256
+
+// taskBodyBytes bounds the request body per task: one JSON object naming
+// an application, with ample room for whitespace and unknown fields. The
+// submit and complete bodies get one task's worth, a batch body BatchMax
+// tasks' worth; anything larger is refused with 413 before it is decoded.
+const taskBodyBytes = 4 << 10
+
 // Config assembles a Server.
 type Config struct {
 	// Machines is the inventory size (two VMs each).
@@ -67,14 +77,8 @@ type Config struct {
 	// the reference path the cache is validated against.
 	CacheCap     int
 	DisableCache bool
-	// CoalesceWindow, when positive, micro-batches singleton submissions:
-	// a POST /v1/tasks waits up to this long for companions, then one
-	// queue-aware scheduling pass places the whole group. Zero disables
-	// coalescing (each submission schedules immediately).
-	CoalesceWindow time.Duration
-	// BatchMax caps one scheduling pass's batch: the coalescer flushes
-	// early at this size and POST /v1/tasks:batch refuses larger requests
-	// (DefaultBatchMax if 0).
+	// BatchMax caps POST /v1/tasks:batch: larger requests are refused, and
+	// the request body limit scales with it (DefaultBatchMax if 0).
 	BatchMax int
 	// Retrain, when set, enables drift-triggered and manual hot-swap.
 	Retrain Retrainer
@@ -97,10 +101,10 @@ type Config struct {
 	SLOLatencyP99 float64
 	SLOErrorRate  float64
 	// Clock injects the daemon's time source: every timestamp, latency
-	// measurement and timer (coalesce windows, SLO epochs, Retry-After
-	// arithmetic) reads it. Nil takes the wall clock; the deterministic
-	// simulation harness passes an obs.VirtualClock so the whole serving
-	// stack advances only via Advance.
+	// measurement and timer (SLO epochs, Retry-After arithmetic) reads
+	// it. Nil takes the wall clock; the deterministic simulation harness
+	// passes an obs.VirtualClock so the whole serving stack advances only
+	// via Advance.
 	Clock obs.Clock
 	// Journal, when set, makes the placer crash-safe: New recovers the
 	// placer from the journal's newest snapshot plus WAL replay (verifying
@@ -118,7 +122,6 @@ type Server struct {
 	swapper   *SwapManager
 	admission *Admission
 	cache     *PredCache // nil when disabled
-	coalescer *Coalescer // nil when CoalesceWindow is zero
 	batchMax  int
 
 	clock     obs.Clock
@@ -217,9 +220,6 @@ func New(lib *model.Library, cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	if cfg.CoalesceWindow > 0 {
-		s.coalescer = NewCoalescer(placer, clock, cfg.CoalesceWindow, batchMax, reg)
-	}
 	return s, nil
 }
 
@@ -235,9 +235,6 @@ func (s *Server) Swapper() *SwapManager { return s.swapper }
 // Admission exposes the backpressure gate (tests, the DST harness's
 // bound checks).
 func (s *Server) Admission() *Admission { return s.admission }
-
-// Coalescer exposes the micro-batcher; nil when CoalesceWindow is zero.
-func (s *Server) Coalescer() *Coalescer { return s.coalescer }
 
 // Registry exposes the metrics registry.
 func (s *Server) Registry() *obs.Registry { return s.reg }
@@ -296,8 +293,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// streaming its request must not pin one of the admission slots —
 	// admission covers only the placement decision itself.
 	var req submitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("bad request body: %v", err)})
+	if !decodeBody(w, r, taskBodyBytes, &req) {
 		return
 	}
 	if req.App == "" {
@@ -305,27 +301,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	reqID := RequestIDFrom(r.Context())
-	// A client-supplied request ID doubles as the idempotency key: a retry
-	// carrying the same ID — including across a daemon crash and restart —
-	// returns the original placement instead of admitting a duplicate.
-	// Server-minted IDs never dedup (the client did not promise anything).
-	key := r.Header.Get(RequestIDHeader)
 	if !s.admission.TryAcquire() {
 		s.tracer.reject(reqID, req.App, "too many in-flight submissions")
 		s.reject(w, 1, 1, "too many in-flight submissions")
 		return
 	}
 	defer s.admission.Release()
+	// A client-supplied request ID doubles as the idempotency key: a retry
+	// carrying the same ID — including across a daemon crash and restart —
+	// returns the original placement instead of admitting a duplicate.
+	// Server-minted IDs never dedup (the client did not promise anything).
 	t0 := s.clock.Now()
-	var (
-		rec *Placement
-		err error
-	)
-	if s.coalescer != nil {
-		rec, err = s.coalescer.SubmitKeyed(req.App, reqID, key)
-	} else {
-		rec, err = s.placer.SubmitKeyed(req.App, reqID, key)
-	}
+	rec, err := single(s.placer.SubmitRequests([]SubmitRequest{{
+		App: req.App, ReqID: reqID, Key: r.Header.Get(RequestIDHeader),
+	}}))
 	s.decision.Observe(s.clock.Since(t0).Seconds())
 	if errors.Is(err, ErrQueueFull) {
 		// The queue bound scales with schedulable capacity: a degraded
@@ -388,8 +377,7 @@ type BatchResponse struct {
 
 func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("bad request body: %v", err)})
+	if !decodeBody(w, r, int64(s.batchMax)*taskBodyBytes, &req) {
 		return
 	}
 	if len(req.Tasks) == 0 {
@@ -401,47 +389,40 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 			Error: fmt.Sprintf("batch of %d exceeds the %d-task limit", len(req.Tasks), s.batchMax)})
 		return
 	}
-	apps := make([]string, len(req.Tasks))
-	for i, task := range req.Tasks {
-		if task.App == "" {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("missing \"app\" in task %d", i)})
-			return
-		}
-		apps[i] = task.App
-	}
-	// One batch claims one in-flight token: it is one scheduling decision.
-	reqID := RequestIDFrom(r.Context())
-	if !s.admission.TryAcquire() {
-		for _, app := range apps {
-			s.tracer.reject(reqID, app, "too many in-flight submissions")
-		}
-		s.reject(w, 1, len(apps), "too many in-flight submissions")
-		return
-	}
-	defer s.admission.Release()
-
 	// Every task in one HTTP batch shares the request's ID: spans and
 	// records for the whole group join back to one submission. When the
 	// client supplied that ID, each task additionally gets a positional
 	// idempotency key derived from it ("<id>#<i>") — the key is an index
 	// entry only and never lands on the record's ReqID.
-	reqIDs := make([]string, len(apps))
-	var keys []string
-	if clientID := r.Header.Get(RequestIDHeader); clientID != "" {
-		keys = make([]string, len(apps))
-		for i := range keys {
-			keys[i] = fmt.Sprintf("%s#%d", clientID, i)
+	reqID := RequestIDFrom(r.Context())
+	clientID := r.Header.Get(RequestIDHeader)
+	reqs := make([]SubmitRequest, len(req.Tasks))
+	for i, task := range req.Tasks {
+		if task.App == "" {
+			writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("missing \"app\" in task %d", i)})
+			return
+		}
+		reqs[i] = SubmitRequest{App: task.App, ReqID: reqID}
+		if clientID != "" {
+			reqs[i].Key = fmt.Sprintf("%s#%d", clientID, i)
 		}
 	}
-	for i := range reqIDs {
-		reqIDs[i] = reqID
+	// One batch claims one in-flight token: it is one scheduling decision.
+	if !s.admission.TryAcquire() {
+		for _, t := range reqs {
+			s.tracer.reject(reqID, t.App, "too many in-flight submissions")
+		}
+		s.reject(w, 1, len(reqs), "too many in-flight submissions")
+		return
 	}
+	defer s.admission.Release()
+
 	t0 := s.clock.Now()
-	outcomes, err := s.placer.SubmitBatchKeyed(apps, reqIDs, keys)
+	outcomes, err := s.placer.SubmitRequests(reqs)
 	elapsed := s.clock.Since(t0).Seconds()
 	s.decision.Observe(elapsed)
 	s.batchLat.Observe(elapsed)
-	s.batchSize.Observe(float64(len(apps)))
+	s.batchSize.Observe(float64(len(reqs)))
 	if err != nil {
 		s.placementError(w, err)
 		return
@@ -493,11 +474,8 @@ func (s *Server) handleGetPlacement(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var obs Observation
-	if r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&obs); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("bad request body: %v", err)})
-			return
-		}
+	if r.ContentLength != 0 && !decodeBody(w, r, taskBodyBytes, &obs) {
+		return
 	}
 	rec, err := s.placer.Complete(r.PathValue("id"))
 	switch {
@@ -743,6 +721,24 @@ func (s *Server) placementError(w http.ResponseWriter, err error) {
 	default:
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 	}
+}
+
+// decodeBody decodes a JSON request body of at most limit bytes into v.
+// It answers 413 for a longer body and 400 for a malformed one, and
+// reports whether the handler should go on.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{
+			Error: fmt.Sprintf("request body exceeds the %d-byte limit", limit)})
+	default:
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("bad request body: %v", err)})
+	}
+	return false
 }
 
 // writeJSON emits compact JSON: responses are machine-consumed (load

@@ -348,3 +348,61 @@ func TestDriftTriggersHotSwap(t *testing.T) {
 		t.Fatalf("manual swap response: %+v", swapResp)
 	}
 }
+
+// TestOversizeBodiesAre413 sends each body-carrying route a body one past
+// its limit (one task's worth for submit and complete, BatchMax tasks'
+// worth for a batch) and expects 413 with nothing applied; a body exactly
+// at the limit still goes through.
+func TestOversizeBodiesAre413(t *testing.T) {
+	const batchMax = 4
+	s := newTestServer(t, model.NLM, Config{Machines: 2, BatchMax: batchMax})
+	h := s.Handler()
+	app := testLibrary(t, model.NLM).Apps()[0]
+	post := func(path, body string) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("POST", path, strings.NewReader(body)))
+		return w
+	}
+	// pad grows a JSON object to exactly n bytes with whitespace before its
+	// closing brace.
+	pad := func(open string, n int) string {
+		return open + strings.Repeat(" ", n-len(open)-1) + "}"
+	}
+
+	submit := fmt.Sprintf(`{"app":%q`, app)
+	if w := post("/v1/tasks", pad(submit, taskBodyBytes)); w.Code != http.StatusOK {
+		t.Fatalf("submit body at the limit: status %d: %s", w.Code, w.Body)
+	}
+	var rec Placement
+	if w := post("/v1/tasks", pad(submit, taskBodyBytes)); w.Code != http.StatusOK {
+		t.Fatalf("second submit: status %d", w.Code)
+	} else if err := json.Unmarshal(w.Body.Bytes(), &rec); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Placer().Snapshot()
+
+	for _, tc := range []struct{ name, path, body string }{
+		{"submit", "/v1/tasks", pad(submit, taskBodyBytes+1)},
+		{"batch", "/v1/tasks:batch",
+			pad(fmt.Sprintf(`{"tasks":[{"app":%q}]`, app), batchMax*taskBodyBytes+1)},
+		{"complete", "/v1/placements/" + rec.ID + "/complete",
+			pad(`{"runtime_s":1`, taskBodyBytes+1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := post(tc.path, tc.body)
+			if w.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("status %d, want 413: %s", w.Code, w.Body)
+			}
+			var e errorResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || !strings.Contains(e.Error, "limit") {
+				t.Fatalf("413 body %q (%v)", w.Body, err)
+			}
+		})
+	}
+	if after := s.Placer().Snapshot(); after != before {
+		t.Fatalf("refused bodies changed the placer: %+v -> %+v", before, after)
+	}
+	if got, _ := s.Placer().Get(rec.ID); got.Status != StatusPlaced {
+		t.Fatalf("refused completion applied: %s is %s", rec.ID, got.Status)
+	}
+}

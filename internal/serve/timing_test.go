@@ -9,10 +9,9 @@ import (
 
 	"tracon/internal/model"
 	"tracon/internal/monitor"
-	"tracon/internal/obs"
 )
 
-// Timing tests for the drift-to-swap loop and the coalescer, driven on
+// Timing tests for the drift-to-swap loop and batch passes, driven on
 // injected clocks and controlled goroutine interleavings rather than
 // wall-clock sleeps. All must stay green under -race.
 
@@ -173,90 +172,3 @@ func TestSwapDuringBatchPass(t *testing.T) {
 		t.Fatalf("generation = %d, want %d (every manual swap must land)", got, 1+passes)
 	}
 }
-
-// TestCoalescerWindowExpiryFakeClock drives the micro-batch window on a
-// virtual clock: no flush may happen before the window elapses, the flush
-// must happen exactly when it does, and a group reaching BatchMax must
-// flush with no clock motion at all.
-func TestCoalescerWindowExpiryFakeClock(t *testing.T) {
-	type step struct {
-		advance time.Duration
-		waiting int // parked submissions expected after the advance
-	}
-	cases := []struct {
-		name     string
-		window   time.Duration
-		n        int
-		batchMax int
-		steps    []step
-	}{
-		{
-			name: "flush at exact expiry", window: 50 * time.Millisecond, n: 3, batchMax: 64,
-			steps: []step{{49 * time.Millisecond, 3}, {time.Millisecond, 0}},
-		},
-		{
-			name: "partial advances hold the group", window: 100 * time.Millisecond, n: 2, batchMax: 64,
-			steps: []step{{60 * time.Millisecond, 2}, {39 * time.Millisecond, 2}, {time.Millisecond, 0}},
-		},
-		{
-			name: "overshoot flushes once", window: 20 * time.Millisecond, n: 4, batchMax: 64,
-			steps: []step{{time.Second, 0}},
-		},
-		{
-			name: "maxbatch flushes with frozen clock", window: time.Hour, n: 3, batchMax: 3,
-			steps: nil, // no clock motion at all
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			vc := obs.NewVirtualClock(time.Unix(1700000000, 0))
-			s := newTestServer(t, model.NLM, Config{
-				Machines: 2, Policy: "mios",
-				CoalesceWindow: tc.window, BatchMax: tc.batchMax,
-				Clock: vc,
-			})
-			c := s.coalescer
-			app := testLibrary(t, model.NLM).Apps()[0]
-
-			results := make(chan error, tc.n)
-			for i := 0; i < tc.n; i++ {
-				go func() {
-					rec, err := c.Submit(app)
-					if err == nil && rec == nil {
-						err = errNilPlacement
-					}
-					results <- err
-				}()
-			}
-			if tc.batchMax > tc.n {
-				// All n park; nothing may flush while the clock is frozen.
-				waitUntil(t, "submissions to park", func() bool { return c.Waiting() == tc.n })
-			}
-			for i, st := range tc.steps {
-				vc.Advance(st.advance)
-				waitUntil(t, "post-advance waiting count", func() bool { return c.Waiting() == st.waiting })
-				if st.waiting > 0 && len(results) != 0 {
-					t.Fatalf("step %d: %d submissions returned before the window expired", i, len(results))
-				}
-			}
-			for i := 0; i < tc.n; i++ {
-				if err := <-results; err != nil {
-					t.Fatalf("submission %d: %v", i, err)
-				}
-			}
-			if got := c.Waiting(); got != 0 {
-				t.Fatalf("%d submissions still parked after flush", got)
-			}
-			if err := s.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-// errNilPlacement marks a Submit that returned neither record nor error.
-var errNilPlacement = errNil{}
-
-type errNil struct{}
-
-func (errNil) Error() string { return "nil placement with nil error" }

@@ -55,13 +55,6 @@ func (t *serveTracer) reject(reqID, app, reason string) {
 	t.emit("reject", obs.ServeInfo{Req: reqID, App: app, Machine: -1, Slot: -1, Reason: reason})
 }
 
-// coalesceWait records how long a submission was parked in the coalescer.
-func (t *serveTracer) coalesceWait(reqID, app string, dur time.Duration) {
-	t.emit("coalesce_wait", obs.ServeInfo{
-		Req: reqID, App: app, Machine: -1, Slot: -1, DurS: dur.Seconds(),
-	})
-}
-
 // batchPass records one full draining iteration: batch offered, tasks
 // placed, wall time of the pass.
 func (t *serveTracer) batchPass(batch, placed int, dur time.Duration) {
@@ -75,13 +68,6 @@ func (t *serveTracer) score(batch, placed int, dur time.Duration) {
 	t.emit("score", obs.ServeInfo{
 		Machine: -1, Slot: -1, Batch: batch, Placed: placed, DurS: dur.Seconds(),
 	})
-}
-
-// planOutcome records how an optimistic pass resolved: plan_commit (the
-// snapshot held), plan_retry (stale snapshot, recompute), plan_fallback
-// (contention exhausted the retries; scheduling ran under the lock).
-func (t *serveTracer) planOutcome(kind string, batch int) {
-	t.emit(kind, obs.ServeInfo{Machine: -1, Slot: -1, Batch: batch})
 }
 
 // place records a task binding to a concrete slot.

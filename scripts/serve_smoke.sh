@@ -2,6 +2,9 @@
 # serve_smoke.sh — end-to-end smoke test of the serving mode: boot tracond
 # on a random port, fire a traconload burst at it, assert non-zero
 # completions, then SIGTERM the daemon and require a clean drain (exit 0).
+# Then boot five more daemons from the library the first one saved and
+# SIGTERM each the moment its portfile appears: the signal handler must
+# already be installed, so each must still exit 0 with "drained cleanly".
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -26,6 +29,7 @@ go build -o "$workdir/traconload" ./cmd/traconload
     -model NLM \
     -policy mios \
     -seed 1 \
+    -save-models "$workdir/models.json" \
     >"$workdir/tracond.log" 2>&1 &
 daemon_pid=$!
 
@@ -65,4 +69,38 @@ if ! wait "$daemon_pid"; then
 fi
 daemon_pid=""
 
-echo "serve-smoke: OK ($completed tasks completed, clean drain)"
+# SIGTERM at the earliest observable moment: as soon as the portfile is
+# written. Busy-wait rather than sleep so the signal lands inside the
+# window between the portfile write and the start of serving.
+for round in 1 2 3 4 5; do
+    rm -f "$workdir/port"
+    "$workdir/tracond" \
+        -addr 127.0.0.1:0 \
+        -portfile "$workdir/port" \
+        -machines 4 \
+        -models "$workdir/models.json" \
+        >"$workdir/early.log" 2>&1 &
+    daemon_pid=$!
+    deadline=$((SECONDS + 30))
+    while [[ ! -s "$workdir/port" ]]; do
+        if ! kill -0 "$daemon_pid" 2>/dev/null || ((SECONDS > deadline)); then
+            echo "serve-smoke: early-signal round $round: no port file" >&2
+            cat "$workdir/early.log" >&2
+            exit 1
+        fi
+    done
+    kill -TERM "$daemon_pid"
+    if ! wait "$daemon_pid"; then
+        echo "serve-smoke: early-signal round $round: tracond exited non-zero" >&2
+        cat "$workdir/early.log" >&2
+        exit 1
+    fi
+    daemon_pid=""
+    if ! grep -q "drained cleanly" "$workdir/early.log"; then
+        echo "serve-smoke: early-signal round $round: no \"drained cleanly\" line" >&2
+        cat "$workdir/early.log" >&2
+        exit 1
+    fi
+done
+
+echo "serve-smoke: OK ($completed tasks completed, clean drain; 5 early-signal drains)"
