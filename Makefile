@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race audit trace serve-smoke obs-smoke chaos crash-smoke fuzz-smoke dst dst-long cover bench bench-json perfbench clean
+.PHONY: ci vet build test race audit trace serve-smoke obs-smoke chaos crash-smoke fuzz-smoke dst dst-long cover results-check bench bench-json bench-kernels perfbench clean
 
-ci: vet build test race audit trace serve-smoke obs-smoke chaos crash-smoke fuzz-smoke dst cover
+ci: vet build test race audit trace serve-smoke obs-smoke chaos crash-smoke fuzz-smoke dst cover results-check
 
 vet:
 	$(GO) vet ./...
@@ -95,6 +95,12 @@ dst-long:
 cover:
 	bash scripts/cover_ratchet.sh
 
+# Bit-identity gate: regenerate every CSV exhibit at paper scale into a
+# temporary directory and diff it against results/ (spotcheck.csv only via
+# `bash scripts/results_check.sh -spotcheck`). About 45 s on two cores.
+results-check:
+	bash scripts/results_check.sh
+
 # Regenerate the paper exhibits through the benchmark harness.
 bench:
 	$(GO) test -bench=. -benchmem -count=1 .
@@ -104,6 +110,13 @@ bench:
 bench-json:
 	$(GO) test -json -run '^$$' -bench 'BenchmarkNewEnv|BenchmarkFig9$$|BenchmarkSchedulerOverhead' \
 		-benchmem -benchtime 1x -count=1 . > BENCH_pr3.json
+
+# The numeric kernels under the environment build: one Host.Steady solve
+# of the profiling grid, the whole one-worker NewEnv build, and the
+# 60-tree forest fit that model.Forest trains per app and response.
+bench-kernels:
+	$(GO) test -run '^$$' -bench '^(BenchmarkHostSteady|BenchmarkNewEnvSequential)$$' -benchmem -count=1 .
+	$(GO) test -run '^$$' -bench '^BenchmarkFitForest$$' -benchmem -count=1 ./internal/stats
 
 # The repository benchmark (BENCHMARK.json): the three workloads, one
 # after the other, through perfbench/run.sh, end-to-end metrics only.

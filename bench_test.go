@@ -20,6 +20,7 @@ import (
 	"tracon/internal/model"
 	"tracon/internal/sched"
 	"tracon/internal/workload"
+	"tracon/internal/xen"
 )
 
 var (
@@ -385,6 +386,29 @@ func BenchmarkAblationForestModel(b *testing.B) {
 func BenchmarkNewEnvSequential(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.NewEnvParallel(1, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHostSteady measures one contention solve of the profiling grid
+// that dominates the Env build: each op is one Host.Steady call, cycling
+// through the grid row of 8 benchmarks × 125 synthetic backgrounds.
+func BenchmarkHostSteady(b *testing.B) {
+	host, err := xen.NewHost(xen.DefaultHost())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var pairs [][]xen.AppSpec
+	for _, a := range workload.Benchmarks() {
+		for _, bg := range workload.ProfilingWorkloads(host.Config().Disk) {
+			pairs = append(pairs, []xen.AppSpec{a.Spec, bg.Spec})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := host.Steady(pairs[i%len(pairs)]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -207,3 +207,106 @@ func TestForestFeatureSubsampling(t *testing.T) {
 		t.Fatalf("prediction %v too far from 15", pred)
 	}
 }
+
+// profileShapedData mimics a model.Profiler training set: one row per
+// background of a 5×5×5 grid (CPU, read rate, write rate, with Dom0 load
+// following the I/O) plus eight all-zero solo rows, so feature values tie
+// in blocks of 25 and 8, and a cliff-shaped noisy response.
+func profileShapedData(rng *rand.Rand) (*mat.Matrix, []float64) {
+	levels := []float64{0, 0.25, 0.5, 0.75, 1}
+	var rows [][]float64
+	var y []float64
+	for _, c := range levels {
+		for _, r := range levels {
+			for _, w := range levels {
+				row := []float64{c, 400 * r, 200 * w, 0.3 * (r + w)}
+				rows = append(rows, row)
+				y = append(y, 100*(1+3*r*r+w+0.2*c)*(1+0.05*rng.NormFloat64()))
+			}
+		}
+	}
+	for rep := 0; rep < 8; rep++ {
+		rows = append(rows, make([]float64, 4))
+		y = append(y, 100*(1+0.05*rng.NormFloat64()))
+	}
+	return mat.NewFromRows(rows), y
+}
+
+// sameTree reports whether two trees have identical shape and bit-identical
+// thresholds and leaf values.
+func sameTree(a, b *treeNode) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.feature == b.feature &&
+		math.Float64bits(a.threshold) == math.Float64bits(b.threshold) &&
+		math.Float64bits(a.value) == math.Float64bits(b.value) &&
+		sameTree(a.left, b.left) && sameTree(a.right, b.right)
+}
+
+// TestForestMatchesReference requires the scratch-reusing split search to
+// grow, seed for seed, the same trees as the frozen per-node-allocating
+// one, on profile-shaped data and on random data with heavy ties.
+func TestForestMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for c := 0; c < 24; c++ {
+		var x *mat.Matrix
+		var y []float64
+		if c%2 == 0 {
+			x, y = profileShapedData(rng)
+		} else {
+			n, p := 20+rng.Intn(200), 1+rng.Intn(5)
+			x = mat.New(n, p)
+			y = make([]float64, n)
+			for i := 0; i < n; i++ {
+				for j := 0; j < p; j++ {
+					x.Set(i, j, float64(rng.Intn(1+c)))
+				}
+				y[i] = float64(rng.Intn(7)) + rng.Float64()
+			}
+		}
+		cfg := ForestConfig{Trees: 60, Seed: int64(c)}
+		if c%3 == 0 {
+			cfg.FeatureFraction = 0.6
+		}
+		if c%4 == 1 {
+			cfg.Tree = TreeConfig{MaxDepth: 12, MinLeaf: 1}
+		}
+		got, err := FitForest(x, y, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fitForestReference(x, y, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range want.trees {
+			if !sameTree(got.trees[k].root, want.trees[k].root) {
+				t.Fatalf("case %d tree %d differs from the reference", c, k)
+			}
+		}
+		for i := 0; i < x.Rows(); i++ {
+			q := x.RawRow(i)
+			if g, w := got.Predict(q), want.Predict(q); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("case %d row %d: predict %v, reference %v", c, i, g, w)
+			}
+		}
+	}
+}
+
+var benchForest *Forest
+
+// BenchmarkFitForest fits the 60-tree, seed-1 ensemble that model.Forest
+// trains per app and response, on a profile-shaped training set.
+func BenchmarkFitForest(b *testing.B) {
+	x, y := profileShapedData(rand.New(rand.NewSource(1)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, err := FitForest(x, y, ForestConfig{Trees: 60, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchForest = f
+	}
+}

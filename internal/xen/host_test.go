@@ -224,6 +224,13 @@ func TestCrossDelayNeedsBothCPUAndIO(t *testing.T) {
 	}
 }
 
+// waterfillNew runs waterfill into freshly allocated output and scratch.
+func waterfillNew(demands []float64, capacity float64) []float64 {
+	alloc := make([]float64, len(demands))
+	waterfill(alloc, demands, capacity, make([]int, len(demands)))
+	return alloc
+}
+
 func TestWaterfill(t *testing.T) {
 	cases := []struct {
 		demands []float64
@@ -237,7 +244,7 @@ func TestWaterfill(t *testing.T) {
 		{[]float64{0.05, 0.5, 2.0}, 1.0, []float64{0.05, 0.475, 0.475}},
 	}
 	for _, c := range cases {
-		got := waterfill(c.demands, c.cap)
+		got := waterfillNew(c.demands, c.cap)
 		for i := range c.want {
 			if math.Abs(got[i]-c.want[i]) > 1e-9 {
 				t.Errorf("waterfill(%v, %v) = %v want %v", c.demands, c.cap, got, c.want)
@@ -255,7 +262,7 @@ func TestWaterfillProperties(t *testing.T) {
 			demands[i] = rng.Float64() * 2
 		}
 		capacity := rng.Float64() * 3
-		alloc := waterfill(demands, capacity)
+		alloc := waterfillNew(demands, capacity)
 		total := 0.0
 		for i, a := range alloc {
 			if a < -1e-12 || a > demands[i]+1e-12 {
