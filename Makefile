@@ -113,10 +113,13 @@ bench-json:
 
 # The numeric kernels under the environment build: one Host.Steady solve
 # of the profiling grid, the whole one-worker NewEnv build, and the
-# 60-tree forest fit that model.Forest trains per app and response.
+# 60-tree forest fit that model.Forest trains per app and response; plus
+# the placer's submit/complete cost from 8 to 10240 machines, which the
+# slot pool keeps flat.
 bench-kernels:
 	$(GO) test -run '^$$' -bench '^(BenchmarkHostSteady|BenchmarkNewEnvSequential)$$' -benchmem -count=1 .
 	$(GO) test -run '^$$' -bench '^BenchmarkFitForest$$' -benchmem -count=1 ./internal/stats
+	$(GO) test -run '^$$' -bench '^BenchmarkPlacerSubmitComplete$$' -benchmem -count=1 ./internal/serve
 
 # The repository benchmark (BENCHMARK.json): the three workloads, one
 # after the other, through perfbench/run.sh, end-to-end metrics only.

@@ -19,12 +19,12 @@ import (
 // (internal/serve). Their semantics overlap exactly where both run an
 // online policy (batch size 1) over a fixed two-VM-per-machine cluster
 // with no faults and no admission bound: tasks must start in the same
-// order, the backlog must have the same depth at every synchronization
-// point, and every task must finish. Machine identity is intentionally
-// out of scope — the daemon's free-slot resolution and the simulator's
-// free pool may pick different concrete VMs for the same decision — and
-// so are the batch policies, whose queue reordering is scored against
-// engine-specific load inputs.
+// order on the same (machine, slot), the backlog must have the same depth
+// at every synchronization point, and every task must finish. Both
+// engines resolve decisions through a sched.FreePool driven by the same
+// operations in the same order, so even FIFO's longest-free pick must
+// agree. The batch policies are out of scope: their queue reordering is
+// scored against engine-specific load inputs.
 
 type oracleEventKind int
 
@@ -35,14 +35,15 @@ const (
 )
 
 type oracleEvent struct {
-	kind oracleEventKind
-	task int64
-	app  string
+	kind          oracleEventKind
+	task          int64
+	app           string
+	machine, slot int // otPlace only
 }
 
 // oracleTracer captures the simulator's lifecycle stream: the driver
 // events (enqueue, complete) the serve replay re-issues, and the place
-// events that record the simulator's start order.
+// events that record the simulator's start order and concrete VMs.
 type oracleTracer struct {
 	events []oracleEvent
 }
@@ -55,7 +56,7 @@ func (o *oracleTracer) TraceFlush(float64)                  {}
 func (o *oracleTracer) TraceDecision(float64, sim.Decision) {}
 func (o *oracleTracer) TracePop(float64, sim.PopInfo)       {}
 func (o *oracleTracer) TracePlace(_ float64, p sim.PlaceInfo) {
-	o.events = append(o.events, oracleEvent{kind: otPlace, task: p.Task.ID, app: p.Task.App})
+	o.events = append(o.events, oracleEvent{kind: otPlace, task: p.Task.ID, app: p.Task.App, machine: p.Machine, slot: p.Slot})
 }
 func (o *oracleTracer) TraceSegment(float64, sim.Segment) {}
 func (o *oracleTracer) TraceComplete(_ float64, c sim.Completion) {
@@ -118,6 +119,15 @@ func RunOracle(lib *model.Library, tbl *sim.InterferenceTable, policy string, ma
 	}
 	p := srv.Placer()
 
+	// Without faults every task is placed exactly once: index the
+	// simulator's concrete VM per task up front.
+	simVM := map[int64][2]int{}
+	for _, ev := range tracer.events {
+		if ev.kind == otPlace {
+			simVM[ev.task] = [2]int{ev.machine, ev.slot}
+		}
+	}
+
 	simToServe := map[int64]string{} // sim task ID → serve placement ID
 	serveToSim := map[string]int64{}
 	var order []string // serve IDs in submission order
@@ -127,8 +137,9 @@ func RunOracle(lib *model.Library, tbl *sim.InterferenceTable, policy string, ma
 
 	// observeStarts appends every serve task that newly reached the
 	// placed (or later) state, in submission order — which is start order
-	// for an online policy: the placer drains its FIFO backlog head-first.
-	observeStarts := func() {
+	// for an online policy: the placer drains its FIFO backlog head-first —
+	// and checks that it landed on the simulator's VM.
+	observeStarts := func() error {
 		for _, id := range order {
 			if started[id] {
 				continue
@@ -139,9 +150,14 @@ func RunOracle(lib *model.Library, tbl *sim.InterferenceTable, policy string, ma
 			}
 			if rec.Status == serve.StatusPlaced || rec.Status == serve.StatusCompleted {
 				started[id] = true
-				serveStarts = append(serveStarts, serveToSim[id])
+				task := serveToSim[id]
+				serveStarts = append(serveStarts, task)
+				if want, got := simVM[task], [2]int{rec.Machine, rec.Slot}; got != want {
+					return fmt.Errorf("oracle: task %d placed on machine/slot %v by serve, %v by sim", task, got, want)
+				}
 			}
 		}
+		return nil
 	}
 	// sync asserts the two engines agree at a driver-event boundary: same
 	// start order, same backlog depth.
@@ -177,7 +193,9 @@ func RunOracle(lib *model.Library, tbl *sim.InterferenceTable, policy string, ma
 			serveToSim[rec.ID] = ev.task
 			order = append(order, rec.ID)
 			enqueued++
-			observeStarts()
+			if err := observeStarts(); err != nil {
+				return err
+			}
 		case otComplete:
 			if err := sync(fmt.Sprintf("event %d (complete task %d)", i, ev.task)); err != nil {
 				return err
@@ -189,7 +207,9 @@ func RunOracle(lib *model.Library, tbl *sim.InterferenceTable, policy string, ma
 			if _, err := p.Complete(id); err != nil {
 				return fmt.Errorf("oracle: complete task %d (%s): %w — the engines placed different tasks", ev.task, id, err)
 			}
-			observeStarts()
+			if err := observeStarts(); err != nil {
+				return err
+			}
 		}
 	}
 	if err := sync("end of stream"); err != nil {

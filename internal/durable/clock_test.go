@@ -12,17 +12,22 @@ import (
 )
 
 func TestDefaultClockIsWallClock(t *testing.T) {
+	m, err := Open("data", Options{FS: NewMemFS()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
 	before := time.Now().Add(-time.Second)
-	got := defaultClock()
+	got := m.opts.Now()
 	if got.Before(before) || got.After(time.Now().Add(time.Second)) {
-		t.Fatalf("defaultClock returned %v", got)
+		t.Fatalf("default Options.Now returned %v", got)
 	}
 }
 
-// TestNoDirectTimeNow bans time.Now outside clock.go: every wall-clock
-// read in this package must flow through the injected Clock so rotation,
-// fsync pacing and recovery stay deterministic under test. A new call
-// site is a build-time design regression, caught here.
+// TestNoDirectTimeNow bans time.Now from the package: every wall-clock
+// read must flow through the injected Options.Now so rotation, fsync
+// pacing and recovery stay deterministic under test. A new call site is a
+// build-time design regression, caught here.
 func TestNoDirectTimeNow(t *testing.T) {
 	entries, err := os.ReadDir(".")
 	if err != nil {
@@ -31,7 +36,7 @@ func TestNoDirectTimeNow(t *testing.T) {
 	fset := token.NewFileSet()
 	for _, e := range entries {
 		name := e.Name()
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") || name == "clock.go" {
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
 		file, err := parser.ParseFile(fset, filepath.Join(".", name), nil, 0)
@@ -48,7 +53,7 @@ func TestNoDirectTimeNow(t *testing.T) {
 				return true
 			}
 			if pkg.Name == "time" && sel.Sel.Name == "Now" {
-				t.Errorf("%s: direct time.Now call — route it through the injected Clock (clock.go)",
+				t.Errorf("%s: direct time.Now call — route it through the injected Options.Now",
 					fset.Position(sel.Pos()))
 			}
 			return true

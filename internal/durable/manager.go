@@ -45,8 +45,12 @@ type Options struct {
 	WALMaxBytes int64
 	// SnapshotKeep bounds retained snapshots (default 2).
 	SnapshotKeep int
-	// Now injects the clock (defaults to the wall clock).
-	Now Clock
+	// Now is the package's only source of wall time: fsync-interval
+	// pacing and metric durations read it, so recovery and rotation are
+	// deterministic under a fake clock (a test bans direct time.Now calls
+	// in this package). Defaults to obs.Wall.Now; the deterministic
+	// simulation harness passes a VirtualClock's Now.
+	Now func() time.Time
 	// FS injects the filesystem (defaults to OSFS). The deterministic
 	// simulation harness passes a MemFS so crashes can be simulated
 	// in-process.
@@ -120,7 +124,7 @@ type Manager struct {
 // manager positioned to append the next event.
 func Open(dir string, opts Options) (*Manager, error) {
 	if opts.Now == nil {
-		opts.Now = defaultClock
+		opts.Now = obs.Wall.Now
 	}
 	if opts.FsyncInterval <= 0 {
 		opts.FsyncInterval = DefaultFsyncInterval

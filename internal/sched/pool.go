@@ -8,8 +8,10 @@ import (
 
 // FreePool tracks every free VM slot in the cluster, bucketed by the
 // application occupying the machine's other slot. It resolves Placements
-// (which name only a category) to concrete (machine, slot) pairs,
-// preferring the lowest-indexed slot for determinism.
+// (which name only a category) to concrete (machine, slot) pairs: a named
+// category takes its lowest-indexed slot, AnyCategory the slot that has
+// been free the longest. Release and Occupy keep the categories in step
+// with the two-VM machine model.
 //
 // Slots are kept in lazy min-heaps: recategorizations simply push a fresh
 // entry and stale entries are discarded at pop time against the
@@ -18,7 +20,8 @@ import (
 // place, so heap memory stays proportional to the live slot count.
 //
 // A FreePool is single-owner state: it is owned by exactly one simulation
-// engine and must not be shared across goroutines (the parallel experiment
+// engine, or by one serve.Placer that touches it only under its mutex, and
+// must not be shared across goroutines otherwise (the parallel experiment
 // runner gives every concurrent simulation its own engine and therefore
 // its own pool). Every method carries a cheap atomic reentry guard that
 // panics on concurrent access, so a violation of the ownership contract
@@ -28,6 +31,7 @@ type FreePool struct {
 	global  slotHeap
 	state   map[int64]slotState
 	counts  Counts
+	free    int // live free slots: the sum of counts
 	freeSeq int64
 	inUse   int32
 }
@@ -126,6 +130,7 @@ func (p *FreePool) SetFree(machine, slot int, category string) {
 	p.freeSeq++
 	p.state[key] = slotState{free: true, category: category, freeGen: p.freeSeq}
 	p.counts[category]++
+	p.free++
 	p.pushCategory(machine, slot, category)
 	heap.Push(&p.global, slotEntry{machine: machine, slot: slot, seq: p.freeSeq})
 	p.maybeCompactGlobal()
@@ -157,7 +162,33 @@ func (p *FreePool) setBusy(machine, slot int) {
 		return
 	}
 	p.counts[cur.category]--
+	p.free--
 	p.state[key] = slotState{free: false}
+}
+
+// Release frees (machine, slot) under the two-VM rule. survivor is the
+// application still running in the machine's other slot: the freed slot
+// takes it as its category. An EmptyCategory survivor means the machine
+// just went idle, so both slots become empty-category (a free sibling
+// keeps its FIFO position).
+func (p *FreePool) Release(machine, slot int, survivor string) {
+	p.SetFree(machine, slot, survivor)
+	if survivor != EmptyCategory {
+		return
+	}
+	if _, free := p.Category(machine, 1-slot); free {
+		p.SetFree(machine, 1-slot, EmptyCategory)
+	}
+}
+
+// Occupy marks (machine, slot) busy running app (a no-op for the slot
+// itself after Pop) and re-categorizes a free sibling slot, which app
+// now neighbours.
+func (p *FreePool) Occupy(machine, slot int, app string) {
+	p.SetBusy(machine, slot)
+	if _, free := p.Category(machine, 1-slot); free {
+		p.SetFree(machine, 1-slot, app)
+	}
 }
 
 // Counts returns a copy of the per-category free counts (zero entries
@@ -165,7 +196,7 @@ func (p *FreePool) setBusy(machine, slot int) {
 func (p *FreePool) Counts() Counts {
 	p.enter()
 	defer p.leave()
-	out := make(Counts, len(p.counts))
+	out := Counts{} // no size hint: counts keeps every category ever seen
 	for c, n := range p.counts {
 		if n > 0 {
 			out[c] = n
@@ -178,17 +209,12 @@ func (p *FreePool) Counts() Counts {
 func (p *FreePool) FreeSlots() int {
 	p.enter()
 	defer p.leave()
-	t := 0
-	for _, n := range p.counts {
-		if n > 0 {
-			t += n
-		}
-	}
-	return t
+	return p.free
 }
 
 // Pop resolves a placement category to a concrete free slot and marks it
-// busy. AnyCategory takes the lowest-indexed free slot overall.
+// busy. A named category takes its lowest-indexed slot; AnyCategory takes
+// the slot that has been free the longest.
 func (p *FreePool) Pop(category string) (machine, slot int, err error) {
 	machine, slot, _, err = p.PopTraced(category)
 	return machine, slot, err
@@ -282,40 +308,25 @@ type PoolStats struct {
 func (p *FreePool) Stats() PoolStats {
 	p.enter()
 	defer p.leave()
-	s := PoolStats{GlobalHeapLen: p.global.Len(), Categories: len(p.heaps)}
-	for _, n := range p.counts {
-		if n > 0 {
-			s.FreeSlots += n
-		}
-	}
+	s := PoolStats{FreeSlots: p.free, GlobalHeapLen: p.global.Len(), Categories: len(p.heaps)}
 	for _, h := range p.heaps {
 		s.CategoryHeapLen += h.Len()
 	}
 	return s
 }
 
-// compactMinLen mirrors the simulation engine's backlog-compaction
-// heuristic: a heap is rebuilt only once it is both large in absolute terms
-// and dominated by stale entries, so compaction cost amortizes to O(1) per
-// push.
-const compactMinLen = 4096
-
-// liveFree is the total number of live free slots (internal; callers hold
-// the reentry guard).
-func (p *FreePool) liveFree() int {
-	t := 0
-	for _, n := range p.counts {
-		if n > 0 {
-			t += n
-		}
-	}
-	return t
-}
+// compactMinLen is the length below which a heap is never rebuilt. Past
+// it, a heap is rebuilt once stale entries dominate it (more than twice
+// the live count), so compaction cost amortizes to O(1) per push. The
+// floor is small because a long-lived pool on a small cluster (the
+// serving placer's) would otherwise carry up to this many stale entries
+// per category for good.
+const compactMinLen = 64
 
 // maybeCompactGlobal rebuilds the global heap keeping only entries whose
 // freed-order stamp still matches the authoritative slot state.
 func (p *FreePool) maybeCompactGlobal() {
-	if p.global.Len() <= compactMinLen || p.global.Len() <= 2*p.liveFree() {
+	if p.global.Len() <= compactMinLen || p.global.Len() <= 2*p.free {
 		return
 	}
 	keep := p.global[:0]

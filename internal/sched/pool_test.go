@@ -270,3 +270,39 @@ func TestFreePoolCrashRecoverMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestFreePoolTwoVMRule walks one machine through the two-VM bookkeeping
+// both executors rely on: a placement re-categorizes the free sibling, a
+// release beside a survivor takes the survivor's app, and the release
+// that idles the machine returns both slots to the empty category.
+func TestFreePoolTwoVMRule(t *testing.T) {
+	p := NewFreePool()
+	p.SetFree(0, 0, EmptyCategory)
+	p.SetFree(0, 1, EmptyCategory)
+	expect := func(step string, want ...string) {
+		t.Helper()
+		for s, w := range want {
+			got := "busy"
+			if cat, free := p.Category(0, s); free {
+				got = cat
+			}
+			if got != w {
+				t.Fatalf("%s: slot %d is %q, want %q", step, s, got, w)
+			}
+		}
+	}
+	if m, s, err := p.Pop(EmptyCategory); err != nil || m != 0 || s != 0 {
+		t.Fatalf("Pop(Empty) = %d,%d,%v", m, s, err)
+	}
+	p.Occupy(0, 0, "io")
+	expect("place io", "busy", "io")
+	p.Occupy(0, 1, "cpu") // a replayed placement onto a named slot
+	expect("place cpu", "busy", "busy")
+	p.Release(0, 0, "cpu")
+	expect("release beside cpu", "cpu", "busy")
+	p.Release(0, 1, EmptyCategory)
+	expect("release to idle", EmptyCategory, EmptyCategory)
+	if got := p.Counts(); got[EmptyCategory] != 2 || len(got) != 1 {
+		t.Fatalf("idle machine counts %v", got)
+	}
+}

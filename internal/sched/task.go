@@ -6,8 +6,10 @@
 //
 // Schedulers are pure decision procedures: given a batch of queued tasks
 // and the pool of free VMs (summarized by the application occupying each
-// candidate machine's other VM), they emit placements. The discrete-event
-// simulator in internal/sim executes placements and maintains the pool.
+// candidate machine's other VM), they emit placements. The executors —
+// the discrete-event simulator in internal/sim and the serving placer in
+// internal/serve — resolve placements through a FreePool and keep it in
+// step with its Release and Occupy methods.
 package sched
 
 import "fmt"
@@ -30,13 +32,14 @@ type Task struct {
 // idle.
 const EmptyCategory = ""
 
-// AnyCategory instructs the executor to take the lowest-indexed free VM
-// regardless of its neighbour — the FIFO baseline's behaviour.
+// AnyCategory instructs the executor to take the free VM that has been
+// free the longest, regardless of its neighbour — the FIFO baseline's
+// behaviour.
 const AnyCategory = "*"
 
 // Placement is a scheduling decision: run the task on a free VM whose
 // co-resident application is Category (EmptyCategory for an idle machine,
-// AnyCategory for "next free VM in index order").
+// AnyCategory for "the longest-free VM").
 type Placement struct {
 	Task     Task
 	Category string

@@ -168,7 +168,9 @@ func (p *Placer) ExportState() *durable.PlacerState {
 }
 
 // RestoreState replaces the placer's state with a recovered snapshot.
-// Boot-time only: the placer must not be serving yet.
+// Boot-time only: the placer must not be serving yet. The free pool is
+// rebuilt in machine index order, so the FIFO-over-VMs history starts
+// afresh, as it does on a fresh boot.
 func (p *Placer) RestoreState(st *durable.PlacerState) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -177,7 +179,6 @@ func (p *Placer) RestoreState(st *durable.PlacerState) error {
 	}
 	placements := make(map[string]*Placement, len(st.Placements))
 	dedup := map[string]string{}
-	placed := 0
 	for _, ps := range st.Placements {
 		rec := &Placement{
 			ID: ps.ID, App: ps.App, Status: ps.Status,
@@ -191,23 +192,21 @@ func (p *Placer) RestoreState(st *durable.PlacerState) error {
 		if rec.idem != "" {
 			dedup[rec.idem] = rec.ID
 		}
-		if rec.Status == StatusPlaced {
-			placed++
-		}
 	}
+	p.resetInventoryLocked(len(st.Machines))
 	for i, ms := range st.Machines {
-		p.machines[i].state = ms.State
-		p.machines[i].slots = [SlotsPerMachine]slot{}
 		for j := 0; j < len(ms.Slots) && j < SlotsPerMachine; j++ {
-			p.machines[i].slots[j] = slot{taskID: ms.Slots[j].Task, app: ms.Slots[j].App}
+			if ms.Slots[j].Task != "" {
+				p.occupyLocked(i, j, ms.Slots[j].Task, ms.Slots[j].App)
+			}
 		}
+		p.setStateLocked(i, ms.State)
 	}
 	p.placements = placements
 	p.dedup = dedup
 	p.queue = append([]string(nil), st.Queue...)
 	p.done = append([]string(nil), st.Done...)
 	p.nextID = st.NextID
-	p.placedCount = placed
 	if p.admission != nil {
 		p.admission.CountRejections(int(st.Rejected))
 	}
@@ -283,14 +282,13 @@ func (p *Placer) applyPlaceLocked(ev durable.Event) error {
 		// a no-op, so placing here would strand the task on a dead machine.
 		return nil
 	}
-	s := &p.machines[ev.Machine].slots[ev.Slot]
-	if s.taskID != "" && s.taskID != ev.Task {
-		return fmt.Errorf("serve: replay: place seq %d targets slot %d/%d already holding %q", ev.Seq, ev.Machine, ev.Slot, s.taskID)
+	switch held := p.machines[ev.Machine].slots[ev.Slot].taskID; held {
+	case "":
+		p.occupyLocked(ev.Machine, ev.Slot, ev.Task, rec.App)
+	case ev.Task: // the slot already holds it
+	default:
+		return fmt.Errorf("serve: replay: place seq %d targets slot %d/%d already holding %q", ev.Seq, ev.Machine, ev.Slot, held)
 	}
-	if s.taskID == "" {
-		p.placedCount++
-	}
-	*s = slot{taskID: ev.Task, app: rec.App}
 	rec.Status = StatusPlaced
 	rec.Machine = ev.Machine
 	rec.Slot = ev.Slot
@@ -309,11 +307,7 @@ func (p *Placer) applyFinishLocked(id, status, errMsg string) {
 	if !ok || rec.Status != StatusPlaced {
 		return
 	}
-	if rec.Machine >= 0 && rec.Machine < len(p.machines) &&
-		p.machines[rec.Machine].slots[rec.Slot].taskID == id {
-		p.machines[rec.Machine].slots[rec.Slot] = slot{}
-		p.placedCount--
-	}
+	p.vacateRecordLocked(rec)
 	rec.Status = status
 	rec.Error = errMsg
 	p.finishLocked(id)
@@ -338,12 +332,11 @@ func (p *Placer) applyKillLocked(ev durable.Event) error {
 	if m.state == MachineDown {
 		return nil // already applied (or machine died again after a revive)
 	}
-	m.state = MachineDown
+	p.setStateLocked(ev.Machine, MachineDown)
 	var front []string
 	evict := func(rec *Placement) {
-		if rec.Machine == ev.Machine && m.slots[rec.Slot].taskID == rec.ID {
-			m.slots[rec.Slot] = slot{}
-			p.placedCount--
+		if rec.Machine == ev.Machine {
+			p.vacateRecordLocked(rec)
 		}
 		resetToQueuedLocked(rec)
 		rec.Retries++
@@ -366,8 +359,7 @@ func (p *Placer) applyKillLocked(ev durable.Event) error {
 			if rec, ok := p.placements[tid]; ok {
 				evict(rec)
 			} else {
-				m.slots[si] = slot{}
-				p.placedCount--
+				p.vacateLocked(ev.Machine, si)
 			}
 		}
 	}
@@ -382,11 +374,7 @@ func (p *Placer) applyRequeueLocked(ev durable.Event) {
 		if !ok || rec.Status != StatusPlaced {
 			continue
 		}
-		if rec.Machine >= 0 && rec.Machine < len(p.machines) &&
-			p.machines[rec.Machine].slots[rec.Slot].taskID == rec.ID {
-			p.machines[rec.Machine].slots[rec.Slot] = slot{}
-			p.placedCount--
-		}
+		p.vacateRecordLocked(rec)
 		resetToQueuedLocked(rec)
 		rec.Retries++
 		front = append(front, rec.ID)
@@ -398,22 +386,26 @@ func (p *Placer) applyMachineLocked(ev durable.Event) error {
 	if ev.Machine < 0 || ev.Machine >= len(p.machines) {
 		return fmt.Errorf("serve: replay: %s seq %d targets machine %d outside the inventory", ev.Kind, ev.Seq, ev.Machine)
 	}
-	m := &p.machines[ev.Machine]
+	from, to := MachineUp, MachineDrained
 	switch ev.Kind {
-	case durable.EvDrain:
-		if m.state == MachineUp {
-			m.state = MachineDrained
-		}
 	case durable.EvUndrain:
-		if m.state == MachineDrained {
-			m.state = MachineUp
-		}
+		from, to = MachineDrained, MachineUp
 	case durable.EvRevive:
-		if m.state == MachineDown {
-			m.state = MachineUp
-		}
+		from, to = MachineDown, MachineUp
+	}
+	if p.machines[ev.Machine].state == from {
+		p.setStateLocked(ev.Machine, to)
 	}
 	return nil
+}
+
+// vacateRecordLocked frees the slot a placed record occupies, if the
+// inventory still agrees that it does.
+func (p *Placer) vacateRecordLocked(rec *Placement) {
+	if rec.Machine >= 0 && rec.Machine < len(p.machines) &&
+		p.machines[rec.Machine].slots[rec.Slot].taskID == rec.ID {
+		p.vacateLocked(rec.Machine, rec.Slot)
+	}
 }
 
 // removeQueuedLocked drops one id from the backlog (replay paths only;
@@ -458,10 +450,7 @@ func (p *Placer) RequeueOrphans() int {
 	traced := make([]evicted, 0, len(orphans))
 	for _, rec := range orphans {
 		mi, si := rec.Machine, rec.Slot
-		if mi >= 0 && mi < len(p.machines) && p.machines[mi].slots[si].taskID == rec.ID {
-			p.machines[mi].slots[si] = slot{}
-			p.placedCount--
-		}
+		p.vacateRecordLocked(rec)
 		resetToQueuedLocked(rec)
 		rec.Retries++
 		front = append(front, rec.ID)

@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 
 	"tracon/internal/durable"
@@ -112,7 +113,12 @@ type machine struct {
 const SlotsPerMachine = 2
 
 // Placer owns the serving-side cluster state: the machine inventory, the
-// FIFO backlog, and the placement records. Every mutation, and every
+// free-slot pool, the FIFO backlog, and the placement records. The pool is
+// the simulator's sched.FreePool, so a scheduling decision resolves to a
+// concrete VM in O(log machines). Once resetInventoryLocked has built the
+// inventory, occupyLocked, vacateLocked and setStateLocked are the only
+// writers of slots and machine states, and they keep the pool in step.
+// Every mutation, and every
 // scheduling pass — plan, model scoring and commit — happens under one
 // mutex: scoring is a small share of a request's cost, so holding the
 // lock through it is cheaper than any scheme that scores outside it.
@@ -132,8 +138,13 @@ type Placer struct {
 	// with the configured clock.
 	clock obs.Clock
 
-	mu         sync.Mutex
-	machines   []machine
+	mu       sync.Mutex
+	machines []machine
+	// pool holds the free slots of up machines, bucketed by neighbour
+	// category; drained and down machines' free slots are out of it.
+	pool *sched.FreePool
+	// upCount is the number of up machines (schedulable capacity).
+	upCount    int
 	queue      []string // queued placement IDs, FIFO
 	placements map[string]*Placement
 	nextID     int64
@@ -145,9 +156,6 @@ type Placer struct {
 	// oldest records are dropped beyond doneCap so the map stays bounded.
 	done    []string
 	doneCap int
-
-	// placedCount tracks busy slots for O(1) free-slot queries.
-	placedCount int
 }
 
 // DefaultCompletedCap bounds how many finished placement records are kept
@@ -163,19 +171,76 @@ func NewPlacer(models *ModelSet, admission *Admission, machines, completedCap in
 	if completedCap <= 0 {
 		completedCap = DefaultCompletedCap
 	}
-	inventory := make([]machine, machines)
-	for i := range inventory {
-		inventory[i].state = MachineUp
-	}
-	return &Placer{
+	p := &Placer{
 		models:     models,
 		admission:  admission,
 		clock:      obs.Wall,
-		machines:   inventory,
 		placements: map[string]*Placement{},
 		dedup:      map[string]string{},
 		doneCap:    completedCap,
-	}, nil
+	}
+	p.resetInventoryLocked(machines)
+	for i := range p.machines {
+		p.setStateLocked(i, MachineUp)
+	}
+	return p, nil
+}
+
+// resetInventoryLocked replaces the inventory with n empty machines that
+// are not yet in service, and the pool with an empty one; setStateLocked
+// then brings machines up, entering their slots into the pool in index
+// order.
+func (p *Placer) resetInventoryLocked(n int) {
+	p.machines = make([]machine, n)
+	p.pool = sched.NewFreePool()
+	p.upCount = 0
+}
+
+// occupyLocked binds a task to a free slot. On an up machine the slot
+// leaves the pool and a free sibling is re-categorized under app.
+func (p *Placer) occupyLocked(mi, si int, taskID, app string) {
+	m := &p.machines[mi]
+	m.slots[si] = slot{taskID: taskID, app: app}
+	if m.state == MachineUp {
+		p.pool.Occupy(mi, si, app)
+	}
+}
+
+// vacateLocked frees a busy slot. On an up machine the VM re-enters the
+// pool under the two-VM rule (see sched.FreePool.Release).
+func (p *Placer) vacateLocked(mi, si int) {
+	m := &p.machines[mi]
+	m.slots[si] = slot{}
+	if m.state == MachineUp {
+		p.pool.Release(mi, si, m.slots[1-si].app)
+	}
+}
+
+// setStateLocked moves machine mi to state. Leaving the up state takes
+// the machine's free slots out of the pool; entering it puts them back,
+// in slot order, each categorized by its sibling's occupant.
+func (p *Placer) setStateLocked(mi int, state string) {
+	m := &p.machines[mi]
+	wasUp, up := m.state == MachineUp, state == MachineUp
+	m.state = state
+	if wasUp == up {
+		return
+	}
+	if up {
+		p.upCount++
+	} else {
+		p.upCount--
+	}
+	for si := range m.slots {
+		if m.slots[si].taskID != "" {
+			continue
+		}
+		if up {
+			p.pool.SetFree(mi, si, m.slots[1-si].app)
+		} else {
+			p.pool.SetBusy(mi, si)
+		}
+	}
 }
 
 // SubmitRequest is one task in a submission: the application to place,
@@ -346,7 +411,7 @@ func (p *Placer) admitBudgetLocked() int {
 	if bound < 0 {
 		return -1
 	}
-	budget := bound + p.freeSlotsLocked() - len(p.queue)
+	budget := bound + p.pool.FreeSlots() - len(p.queue)
 	if budget < 0 {
 		budget = 0
 	}
@@ -372,13 +437,11 @@ func (p *Placer) Complete(id string) (*Placement, error) {
 		p.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q is %s", ErrNotPlaced, id, rec.Status)
 	}
-	m := &p.machines[rec.Machine]
-	if m.slots[rec.Slot].taskID != id {
+	if p.machines[rec.Machine].slots[rec.Slot].taskID != id {
 		p.mu.Unlock()
 		return nil, fmt.Errorf("serve: slot bookkeeping corrupt for %q", id)
 	}
-	m.slots[rec.Slot] = slot{}
-	p.placedCount--
+	p.vacateLocked(rec.Machine, rec.Slot)
 	rec.Status = StatusCompleted
 	p.finishLocked(rec.ID)
 	if p.journal.enabled() {
@@ -427,22 +490,7 @@ func (p *Placer) QueueIDs() []string {
 func (p *Placer) FreeSlots() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.freeSlotsLocked()
-}
-
-func (p *Placer) freeSlotsLocked() int {
-	free := 0
-	for i := range p.machines {
-		if p.machines[i].state != MachineUp {
-			continue
-		}
-		for _, s := range p.machines[i].slots {
-			if s.taskID == "" {
-				free++
-			}
-		}
-	}
-	return free
+	return p.pool.FreeSlots()
 }
 
 // capacityLocked reports the schedulable slot count (VMs on up machines)
@@ -450,12 +498,7 @@ func (p *Placer) freeSlotsLocked() int {
 // the ratio, so a cluster that lost machines sheds load instead of
 // queueing work it cannot place.
 func (p *Placer) capacityLocked() (available, total int) {
-	for i := range p.machines {
-		if p.machines[i].state == MachineUp {
-			available += SlotsPerMachine
-		}
-	}
-	return available, SlotsPerMachine * len(p.machines)
+	return SlotsPerMachine * p.upCount, SlotsPerMachine * len(p.machines)
 }
 
 // Snapshot is one consistent view of the placer's load state, taken under
@@ -476,7 +519,7 @@ func (p *Placer) Snapshot() Snapshot {
 	available, total := p.capacityLocked()
 	return Snapshot{
 		QueueDepth: len(p.queue),
-		FreeSlots:  p.freeSlotsLocked(),
+		FreeSlots:  p.pool.FreeSlots(),
 		Available:  available,
 		Total:      total,
 	}
@@ -507,12 +550,11 @@ func (p *Placer) transition(id int, from, to, kind string, redrain bool) error {
 		p.mu.Unlock()
 		return fmt.Errorf("%w: %d", ErrUnknownMachine, id)
 	}
-	m := &p.machines[id]
-	if m.state != from {
+	if state := p.machines[id].state; state != from {
 		p.mu.Unlock()
-		return fmt.Errorf("%w: machine %d is %s, not %s", ErrBadTransition, id, m.state, from)
+		return fmt.Errorf("%w: machine %d is %s, not %s", ErrBadTransition, id, state, from)
 	}
-	m.state = to
+	p.setStateLocked(id, to)
 	if p.journal.enabled() {
 		p.journal.append(durable.Event{Kind: kind, Machine: id, Slot: -1})
 	}
@@ -538,15 +580,14 @@ func (p *Placer) Kill(id int) (requeued int, err error) {
 		p.mu.Unlock()
 		return 0, fmt.Errorf("%w: machine %d is already down", ErrBadTransition, id)
 	}
-	m.state = MachineDown
+	p.setStateLocked(id, MachineDown)
 	var lost []string
 	lostSlots := map[string]int{}
 	for si := range m.slots {
 		if tid := m.slots[si].taskID; tid != "" {
 			lost = append(lost, tid)
 			lostSlots[tid] = si
-			m.slots[si] = slot{}
-			p.placedCount--
+			p.vacateLocked(id, si)
 		}
 	}
 	evicted := make([]*Placement, 0, len(lost))
@@ -620,28 +661,6 @@ func (p *Placer) finishLocked(id string) {
 	}
 }
 
-// countsLocked summarizes the free pool the way the schedulers expect:
-// an idle machine contributes two empty-category slots; a half-busy one
-// contributes one slot in its occupant's category.
-func (p *Placer) countsLocked() sched.Counts {
-	counts := sched.Counts{}
-	for i := range p.machines {
-		if p.machines[i].state != MachineUp {
-			continue // cordoned and dead machines offer no slots
-		}
-		s0, s1 := p.machines[i].slots[0], p.machines[i].slots[1]
-		switch {
-		case s0.taskID == "" && s1.taskID == "":
-			counts[sched.EmptyCategory] += 2
-		case s0.taskID == "":
-			counts[s1.app]++
-		case s1.taskID == "":
-			counts[s0.app]++
-		}
-	}
-	return counts
-}
-
 // schedPlan is one scheduling input: the head of the backlog, the
 // free-pool census and the load signal.
 type schedPlan struct {
@@ -679,7 +698,7 @@ func (p *Placer) planLocked() (plan schedPlan, ok bool) {
 	p.queue = kept
 	p.journal.append(failed...)
 
-	if len(p.queue) == 0 || p.freeSlotsLocked() == 0 {
+	if len(p.queue) == 0 || p.pool.FreeSlots() == 0 {
 		return schedPlan{}, false
 	}
 	n := view.Scheduler.BatchSize()
@@ -698,7 +717,7 @@ func (p *Placer) planLocked() (plan schedPlan, ok bool) {
 		view:   view,
 		ids:    ids,
 		batch:  batch,
-		counts: p.countsLocked(),
+		counts: p.pool.Counts(),
 		load:   sched.Load{TotalSlots: available, Queued: len(p.queue)},
 	}, true
 }
@@ -765,8 +784,8 @@ func (p *Placer) drain() error {
 
 // executeLocked binds a scheduling decision to a concrete (machine, slot).
 func (p *Placer) executeLocked(rec *Placement, category string, view ModelView) error {
-	mi, si := p.findSlotLocked(category)
-	if mi < 0 {
+	mi, si, err := p.pool.Pop(category)
+	if err != nil {
 		return fmt.Errorf("serve: scheduler chose category %q but no matching slot is free", category)
 	}
 	other := p.machines[mi].slots[1-si]
@@ -791,66 +810,40 @@ func (p *Placer) executeLocked(rec *Placement, category string, view ModelView) 
 	} else {
 		rec.bg = make([]float64, model.NumFeatures)
 	}
-	p.machines[mi].slots[si] = slot{taskID: rec.ID, app: rec.App}
-	p.placedCount++
+	p.occupyLocked(mi, si, rec.ID, rec.App)
 	p.tracer.place(rec)
 	return nil
 }
 
-// findSlotLocked picks the lowest-indexed free slot matching the category:
-// AnyCategory takes the first free VM, EmptyCategory a fully idle machine,
-// and an application category a half-busy machine whose occupant runs it.
-func (p *Placer) findSlotLocked(category string) (mi, si int) {
-	for i := range p.machines {
-		if p.machines[i].state != MachineUp {
-			continue
-		}
-		s0free := p.machines[i].slots[0].taskID == ""
-		s1free := p.machines[i].slots[1].taskID == ""
-		switch category {
-		case sched.AnyCategory:
-			if s0free {
-				return i, 0
-			}
-			if s1free {
-				return i, 1
-			}
-		case sched.EmptyCategory:
-			if s0free && s1free {
-				return i, 0
-			}
-		default:
-			if s0free != s1free { // exactly one free
-				occ := p.machines[i].slots[0]
-				free := 1
-				if s0free {
-					occ = p.machines[i].slots[1]
-					free = 0
-				}
-				if occ.app == category {
-					return i, free
-				}
-			}
-		}
-	}
-	return -1, -1
-}
-
 // CheckInvariants validates the placer's bookkeeping: slots and placement
-// records must agree exactly, the queue must hold only queued records, and
-// the placed count must match the busy-slot census. Tests call it after
-// concurrent hammering; any violation is a serving-layer bug.
+// records must agree exactly, the queue must hold only queued records, the
+// up-machine count must match the inventory, and the free pool must hold
+// exactly the free slots of up machines, each under its sibling's
+// occupant. Tests call it after concurrent hammering; any
+// violation is a serving-layer bug.
 func (p *Placer) CheckInvariants() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	busy := 0
+	busy, up := 0, 0
+	counts := sched.Counts{}
 	for i := range p.machines {
 		switch p.machines[i].state {
-		case MachineUp, MachineDrained, MachineDown:
+		case MachineUp:
+			up++
+		case MachineDrained, MachineDown:
 		default:
 			return fmt.Errorf("serve: machine %d in unknown state %q", i, p.machines[i].state)
 		}
 		for j, s := range p.machines[i].slots {
+			cat, pooled := p.pool.Category(i, j)
+			want := s.taskID == "" && p.machines[i].state == MachineUp
+			if pooled != want || pooled && cat != p.machines[i].slots[1-j].app {
+				return fmt.Errorf("serve: slot %d/%d pooled=%v under %q, want pooled=%v beside %q",
+					i, j, pooled, cat, want, p.machines[i].slots[1-j].app)
+			}
+			if pooled {
+				counts[cat]++
+			}
 			if s.taskID == "" {
 				continue
 			}
@@ -868,8 +861,11 @@ func (p *Placer) CheckInvariants() error {
 			}
 		}
 	}
-	if busy != p.placedCount {
-		return fmt.Errorf("serve: placedCount %d but %d busy slots", p.placedCount, busy)
+	if up != p.upCount {
+		return fmt.Errorf("serve: upCount %d but %d up machines", p.upCount, up)
+	}
+	if got := p.pool.Counts(); !maps.Equal(got, counts) {
+		return fmt.Errorf("serve: pool counts %v, inventory %v", got, counts)
 	}
 	placed := 0
 	for _, rec := range p.placements {

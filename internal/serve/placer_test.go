@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"tracon/internal/model"
@@ -248,5 +249,40 @@ func TestPlacerCompletedRecordsBounded(t *testing.T) {
 	}
 	if err := p.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkPlacerSubmitComplete is the placer layer of a workflow engine
+// on a large cell: each op submits a group of 8 tasks as one batch (Forest,
+// MIBS with an 8-task queue) and completes all 8, so every op costs two
+// scheduling passes and nine slot-pool updates on an otherwise idle
+// cluster. The cost should not grow with the inventory.
+func BenchmarkPlacerSubmitComplete(b *testing.B) {
+	apps := testLibrary(b, model.Forest).Apps()
+	group := make([]string, 8)
+	for i := range group {
+		group[i] = apps[i%len(apps)]
+	}
+	for _, machines := range []int{8, 1024, 4096, 10240} {
+		b.Run(fmt.Sprintf("machines=%d", machines), func(b *testing.B) {
+			s := newTestServer(b, model.Forest, Config{Machines: machines, Policy: "mibs", QueueLen: 8})
+			p := s.Placer()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				out, err := p.SubmitBatch(group)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, o := range out {
+					if o.Err != nil || o.Placement.Status != StatusPlaced {
+						b.Fatalf("submit: %v %+v", o.Err, o.Placement)
+					}
+					if _, err := p.Complete(o.Placement.ID); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }

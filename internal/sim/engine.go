@@ -560,21 +560,19 @@ func (e *Engine) complete(m, slot int) error {
 		e.results.TotalIOPS += ops / rec.Runtime()
 	}
 
-	// Pool bookkeeping: the freed slot's category is the survivor's app;
-	// if the survivor slot is itself free, the whole machine is idle and
-	// both slots are empty-category.
-	other := ms.slots[1-slot]
-	if other != nil {
-		e.pool.SetFree(m, slot, other.task.App)
-	} else {
-		e.pool.SetFree(m, slot, sched.EmptyCategory)
-		if _, free := e.pool.Category(m, 1-slot); free {
-			e.pool.SetFree(m, 1-slot, sched.EmptyCategory)
-		}
-	}
+	e.pool.Release(m, slot, e.survivor(m, slot))
 	e.reprice(m)
 	e.settleEnergy(m) // re-sample power under the new membership
 	return nil
+}
+
+// survivor is the application running in the other slot of (m, slot)'s
+// machine (EmptyCategory when that slot is free).
+func (e *Engine) survivor(m, slot int) string {
+	if other := e.machines[m].slots[1-slot]; other != nil {
+		return other.task.App
+	}
+	return sched.EmptyCategory
 }
 
 // place starts a task on a concrete VM.
@@ -590,16 +588,10 @@ func (e *Engine) place(t sched.Task, m, slot int) error {
 		lastUpdate: e.now,
 		start:      e.now,
 	}
-	// The sibling slot, if free, is now neighboured by this app.
-	if _, free := e.pool.Category(m, 1-slot); free {
-		e.pool.SetFree(m, 1-slot, t.App)
-	}
+	e.pool.Occupy(m, slot, t.App)
 	// The placement-time neighbour, captured before reprice (which only
 	// recomputes rates) for the placement trace.
-	neighbour := ""
-	if other := ms.slots[1-slot]; other != nil {
-		neighbour = other.task.App
-	}
+	neighbour := e.survivor(m, slot)
 	if e.cfg.Faults != nil {
 		e.attempts[t.ID]++
 		e.genSeq++

@@ -77,8 +77,8 @@ func (e *Engine) machineUp(m int) {
 
 // evictAttempt ends the attempt running in (m, slot) without completing it
 // (kind is FaultFail or FaultTimeout; crash evictions go through
-// machineDown), frees the slot with the same pool bookkeeping as a
-// completion, and queues the task for retry.
+// machineDown), frees the slot as a completion does, and queues the task
+// for retry.
 func (e *Engine) evictAttempt(m, slot int, kind string) {
 	e.settle(m)
 	ms := &e.machines[m]
@@ -96,17 +96,7 @@ func (e *Engine) evictAttempt(m, slot int, kind string) {
 			TaskID: rt.task.ID, App: rt.task.App, Attempt: e.attempts[rt.task.ID],
 		})
 	}
-	// The freed slot's category is the survivor's app; an idle machine is
-	// empty-category on both slots (mirrors complete()).
-	other := ms.slots[1-slot]
-	if other != nil {
-		e.pool.SetFree(m, slot, other.task.App)
-	} else {
-		e.pool.SetFree(m, slot, sched.EmptyCategory)
-		if _, free := e.pool.Category(m, 1-slot); free {
-			e.pool.SetFree(m, 1-slot, sched.EmptyCategory)
-		}
-	}
+	e.pool.Release(m, slot, e.survivor(m, slot))
 	e.reprice(m)
 	e.settleEnergy(m)
 	e.retryOrLose(rt.task)
